@@ -43,6 +43,7 @@ from .menon import (
     menon_closed_form,
     menon_sum_bruteforce,
     menon_sum_over,
+    menon_sums,
     verify_identity,
     verify_menon_multiplicativity,
     verify_prime_power,
@@ -92,6 +93,7 @@ __all__ = [
     "menon_closed_form",
     "menon_sum_bruteforce",
     "menon_sum_over",
+    "menon_sums",
     "pillai",
     "pillai_bruteforce",
     "pillai_rule",

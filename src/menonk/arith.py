@@ -28,6 +28,7 @@ from typing import Callable
 
 from .factor import factorize
 from .limits import (
+    bounded_pow,
     check_loop_budget,
     checked_mul,
     checked_pow,
@@ -209,9 +210,17 @@ def d_s_k(m: int, s: int, k: int) -> int:
         raise ValueError("m and k must be positive integers")
     out = 1
     for p, v in factorize(m):
-        if s % p**k != 0:
+        if not _kth_power_divides(p, k, s):
             out *= v + 1
     return out
+
+
+def _kth_power_divides(p: int, k: int, s: int) -> bool:
+    """True iff p**k divides s; p**k is never built past |s| when s != 0."""
+    if s == 0:
+        return True
+    pk = bounded_pow(p, k, abs(s))
+    return pk is not None and s % pk == 0
 
 
 def pillai(m: int, k: int) -> int:
@@ -294,7 +303,7 @@ def d_s_k_rule(s: int, k: int) -> MultiplicativeFunction:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return MultiplicativeFunction(
-        f"d_s_k[s={s},k={k}]", lambda p, v: 1 if s % p**k == 0 else v + 1
+        f"d_s_k[s={s},k={k}]", lambda p, v: 1 if _kth_power_divides(p, k, s) else v + 1
     )
 
 

@@ -42,11 +42,23 @@ def checked_pow(base: int, exp: int, what: str = "power") -> int:
     """base**exp, raising Uint128OverflowError rather than leaving the domain."""
     if base < 0 or exp < 0:
         raise ValueError("checked_pow requires nonnegative base and exponent")
-    # Cheap pre-screen so absurd exponents never materialize a giant integer:
-    # base >= 2^(bitlen-1), hence base**exp >= 2^(exp*(bitlen-1)).
-    if base >= 2 and exp * (base.bit_length() - 1) > 128:
+    value = bounded_pow(base, exp, U128_MAX)
+    if value is None:
         raise Uint128OverflowError(f"{what} = {base}^{exp} is outside [0, 2^128)")
-    return ensure_u128(base**exp, f"{what} = {base}^{exp}" if exp != 1 else what)
+    return value
+
+
+def bounded_pow(base: int, exp: int, bound: int) -> int | None:
+    """base**exp if it is at most ``bound``, else None (base, exp, bound >= 0).
+
+    A power far past ``bound`` is never built, so absurd exponents cost
+    nothing: base >= 2^(bitlen-1), hence base**exp >= 2^(exp*(bitlen-1)),
+    which exceeds ``bound`` once that exponent reaches bound's bit length.
+    """
+    if base >= 2 and exp * (base.bit_length() - 1) >= bound.bit_length():
+        return None
+    value = base**exp
+    return value if value <= bound else None
 
 
 def checked_mul(a: int, b: int, what: str = "product") -> int:

@@ -6,9 +6,10 @@ The central quantity is
                  of (a - s, m**k)_k
 
 which equals d_s_k(m, s, k) * phi_k(m) for every integer s and all
-positive integers m, k.  ``menon_sum_bruteforce`` evaluates the sum
-literally; ``menon_closed_form`` evaluates the product side from the
-factorization alone.  The verify_* helpers return verdicts instead of
+positive integers m, k.  ``menon_sums`` evaluates the sum literally for
+many shifts at once (``menon_sum_bruteforce`` is its one-shift case);
+``menon_closed_form`` evaluates the product side from the factorization
+alone.  The verify_* helpers return verdicts instead of
 asserting so callers can report a counterexample (which would mean an
 implementation bug, not a false identity) with full context.
 """
@@ -18,7 +19,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Iterator
 
 from .arith import (
     cohen_phi,
@@ -27,13 +29,14 @@ from .arith import (
     largest_kth_power_divisor,
 )
 from .factor import is_prime
-from .limits import checked_mul, checked_pow
-from .residues import standard_residue_set
+from .limits import check_loop_budget, checked_mul, checked_pow
+from .residues import _gcd_table, standard_residue_set
 
 __all__ = [
     "MenonParams",
     "IdentityReport",
     "menon_sum_over",
+    "menon_sums",
     "menon_sum_bruteforce",
     "menon_closed_form",
     "verify_identity",
@@ -91,10 +94,29 @@ def menon_sum_over(elements: Iterable[int], params: MenonParams) -> int:
     return sum(_kth(_gcd(a - s, mk), k) for a in elements)
 
 
+def menon_sums(
+    m: int, k: int, shifts: Iterable[int], max_iterations: int | None = None
+) -> Iterator[int]:
+    """M(m, s, k) for each s in ``shifts``, in order, by direct summation.
+
+    The table t[x] = (x, m**k)_k over the classes x mod m**k and the mask
+    of the reduced classes are built once, here; each sum is then taken
+    lazily.  The term for a is t[(a - s) mod m**k], so M(m, s, k) sums t
+    under the mask rotated left by s mod m**k: every element of the
+    standard residue set still contributes its own term.
+    """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive integers")
+    mk = checked_pow(m, k, "m^k")
+    check_loop_budget(mk, max_iterations, f"enumerating residues mod {m}^{k}")
+    table, mask = _gcd_table(m, k)
+    return (sum(compress(table, mask[r:] + mask[:r])) for r in (s % mk for s in shifts))
+
+
 def menon_sum_bruteforce(params: MenonParams, max_iterations: int | None = None) -> int:
     """M(m, s, k) by direct summation over the standard residue set."""
-    residues = standard_residue_set(params.m, params.k, max_iterations)
-    return menon_sum_over(residues.elements, params)
+    (total,) = menon_sums(params.m, params.k, (params.s,), max_iterations)
+    return total
 
 
 def menon_closed_form(params: MenonParams) -> int:

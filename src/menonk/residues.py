@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 
 from .arith import cohen_phi, gcd_pow_k, largest_kth_power_divisor
 from .limits import check_loop_budget, checked_mul, checked_pow
@@ -64,14 +65,24 @@ class ResidueSet:
             raise ValueError("elements are not pairwise incongruent mod m^k")
 
 
+def _gcd_table(m: int, k: int) -> tuple[list[int], bytes]:
+    """t[x] = (x, m**k)_k for x in [0, m**k), and the class mask bytes(t[x] == 1).
+
+    One C-level gcd pass over the classes; the k-th power part is then
+    looked up once per distinct gcd, i.e. once per divisor of m**k.
+    """
+    mk = m**k
+    gcds = list(map(math.gcd, range(mk), repeat(mk)))
+    kth = {g: largest_kth_power_divisor(g, k) for g in set(gcds)}
+    table = list(map(kth.__getitem__, gcds))
+    return table, bytes(map((1).__eq__, table))
+
+
 @lru_cache(maxsize=4096)
 def _standard_elements(m: int, k: int) -> tuple[int, ...]:
-    mk = m**k
-    if k == 1:
-        _gcd = math.gcd
-        return tuple(a for a in range(1, mk + 1) if _gcd(a, mk) == 1)
-    _gcd, _kth = math.gcd, largest_kth_power_divisor
-    return tuple(a for a in range(1, mk + 1) if _kth(_gcd(a, mk), k) == 1)
+    _, mask = _gcd_table(m, k)
+    # a in [1, m**k] lies in class a mod m**k: classes 1, ..., m**k - 1, then 0.
+    return tuple(compress(range(1, m**k + 1), mask[1:] + mask[:1]))
 
 
 def standard_residue_set(m: int, k: int, max_iterations: int | None = None) -> ResidueSet:

@@ -25,7 +25,13 @@ from menonk.arith import (
     pillai_bruteforce,
     pillai_rule,
 )
-from menonk.limits import ResourceLimitError, Uint128OverflowError
+from menonk.limits import (
+    U128_MAX,
+    ResourceLimitError,
+    Uint128OverflowError,
+    bounded_pow,
+    checked_pow,
+)
 
 
 def kth_power_gcd_direct(a: int, b: int, k: int) -> int:
@@ -231,6 +237,32 @@ def test_d_s_k_examples():
     assert d_s_k(4, 1, 2) == 3
     assert d_s_k(12, 2, 1) == 2
     assert d_s_k(9, 0, 2) == 1
+
+
+def test_bounded_pow_edges():
+    assert bounded_pow(2, 10, 1024) == 1024
+    assert bounded_pow(2, 11, 1024) is None
+    assert bounded_pow(2, 127, U128_MAX) == checked_pow(2, 127) == 2**127
+    assert bounded_pow(2, 128, U128_MAX) is None
+    assert bounded_pow(3, 80, U128_MAX) == checked_pow(3, 80) == 3**80
+    assert bounded_pow(3, 81, U128_MAX) is None  # passes the bit-length screen
+    assert bounded_pow(3, 10**18, 10) is None
+    assert bounded_pow(1, 10**18, 1) == 1
+    assert bounded_pow(0, 5, 0) == 0
+    with pytest.raises(Uint128OverflowError):
+        checked_pow(3, 81)
+
+
+def test_d_s_k_huge_k_decided_without_the_power():
+    # p^k > |s| > 0 cannot divide s; 3^(10^8) is never built.
+    assert d_s_k(3, 1, 10**8) == 2
+    assert d_s_k_rule(1, 10**8)(3) == 2
+    # every p^k divides 0
+    assert d_s_k(9, 0, 10**8) == 1
+    assert d_s_k_rule(0, 10**8)(9) == 1
+    # the screen's edge: 2^100 has bit length 101
+    assert d_s_k(2, 2**100, 100) == d_s_k(2, -(2**100), 100) == 1
+    assert d_s_k(2, 2**100, 101) == d_s_k_rule(2**100, 101)(2) == 2
 
 
 def test_d_s_k_reduces_to_d_s():

@@ -1,15 +1,30 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-from menonk import cli, menon
+from menonk import arith, cli, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, timeout=None):
+    # python -m puts its working directory first on sys.path, so this
+    # runs the checkout's menonk whether or not it is installed.
+    return subprocess.run(
+        [sys.executable, "-m", "menonk", *argv],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def test_compute_examples(capsys):
@@ -83,6 +98,27 @@ def test_verify_skips_over_cap(capsys):
     assert out == "checked=10 passed=10 failed=0 skipped=14\n"
 
 
+def test_verify_counts_skipped_moduli_without_walking_them():
+    # 10^13 moduli, all but 50 over the cap; a hang here times out.
+    proc = run_module(
+        "--max-iterations", "50", "verify", "--m", "1..10000000000000", "--s", "1..1", "--k", "1",
+        timeout=10,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == "checked=50 passed=50 failed=0 skipped=9999999999950\n"
+
+
+def test_verify_builds_each_table_once(capsys):
+    residues._standard_elements.cache_clear()
+    arith.largest_kth_power_divisor.cache_clear()
+    code, out, _ = invoke(capsys, "verify", "--m", "1..30", "--s", "-2..2", "--k", "1,2")
+    assert code == EXIT_OK and out == "checked=300 passed=300 failed=0 skipped=0\n"
+    assert residues._standard_elements.cache_info().currsize == 0
+    info = arith.largest_kth_power_divisor.cache_info()
+    tables = sum(arith.divisor_count(m**k) for m in range(1, 31) for k in (1, 2))
+    assert info.hits + info.misses <= tables
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = invoke(capsys, "verify", "--m", "5..1", "--s", "0..0", "--k", "1")
     assert code == EXIT_USAGE and "empty" in err
@@ -94,15 +130,18 @@ def test_verify_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, err = invoke(capsys, "verify", "--m", "1..5", "--s", "0..0", "--k", "0")
     assert code == EXIT_USAGE
+    code, _, err = invoke(capsys, "verify", "--m", f"1..{2**128}", "--s", "0..0", "--k", "1")
+    assert code == EXIT_USAGE and "spans more than" in err
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
-    # The identity cannot fail for real inputs, so fake a bad report to
-    # check the failure path and its exit code.
-    def fake_verify(params, max_iterations=None):
-        return menon.IdentityReport(params, 1, 2, False, 0.0)
+    # The identity cannot fail for real inputs, so fake disagreeing sides
+    # to check the failure path and its exit code.
+    def fake_sums(m, k, shifts, max_iterations=None):
+        return iter([1] * len(shifts))
 
-    monkeypatch.setattr(cli.menon, "verify_identity", fake_verify)
+    monkeypatch.setattr(cli.menon, "menon_sums", fake_sums)
+    monkeypatch.setattr(cli.menon, "menon_closed_form", lambda params: 2)
     code, out, _ = invoke(capsys, "verify", "--m", "12..12", "--s", "1..1", "--k", "1")
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL m=12 s=1 k=1: lhs=1 rhs=2" in out
@@ -215,10 +254,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "menonk", "compute", "phi", "--m", "12"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("compute", "phi", "--m", "12")
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+def test_compute_d_s_k_huge_k():
+    # 3^(10^8) > 1 cannot divide s = 1; a hang building it times out.
+    proc = run_module("compute", "d-s-k", "--m", "3", "--s", "1", "--k", "100000000", timeout=10)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == "2\n"

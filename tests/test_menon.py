@@ -10,6 +10,7 @@ from menonk.menon import (
     menon_closed_form,
     menon_sum_bruteforce,
     menon_sum_over,
+    menon_sums,
     verify_identity,
     verify_menon_multiplicativity,
     verify_prime_power,
@@ -156,6 +157,25 @@ def test_sum_independent_of_residue_representatives():
             params = MenonParams(m, s, k)
             shifted = [a + rng.randrange(-5, 6) * mk for a in base.elements]
             assert menon_sum_over(shifted, params) == menon_sum_bruteforce(params)
+
+
+def test_menon_sums_match_the_per_element_loop():
+    for k, m_max in ((1, 40), (2, 20), (3, 8)):
+        for m in range(1, m_max + 1):
+            mk = m**k
+            shifts = [0, 1, -1, 13, -13, mk, 2 * mk + 3, 2**200, -(2**200)]
+            elements = standard_residue_set(m, k).elements
+            expected = [menon_sum_over(elements, MenonParams(m, s, k)) for s in shifts]
+            assert list(menon_sums(m, k, shifts)) == expected, (m, k)
+
+
+def test_menon_sums_checks_before_summing():
+    with pytest.raises(ValueError):
+        menon_sums(0, 1, [1])
+    with pytest.raises(Uint128OverflowError):
+        menon_sums(2**65, 2, [1])
+    with pytest.raises(ResourceLimitError):
+        menon_sums(100, 1, [1], max_iterations=50)
 
 
 def test_identity_holds_on_sampled_grid():
