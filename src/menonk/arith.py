@@ -13,10 +13,14 @@ Definitions (all exact integers):
     P_k(m)       gcd-power sum, sum_{a=1}^{m**k} (a, m**k)_k
                  = sum_{d | m} d**k * phi_k(m / d)
 
-Every function with a closed multiplicative form also has a brute-force
-twin here (suffix ``_bruteforce``) that evaluates the defining count or
-sum literally; the twins are each other's oracles and never share a
-code path beyond the gcd primitive.
+Each closed form is defined once, as its prime-power rule (the
+``*_rule`` factories at the end of this module); the scalar functions
+evaluate that rule over ``factorize`` and ``batch`` evaluates it over
+the sieve.  ``pillai`` instead takes the divisor sum, a third route
+checked against ``pillai_rule``.  Every function with a closed form
+also has a brute-force twin here (suffix ``_bruteforce``) that evaluates
+the defining count or sum literally; the twins are each other's oracles
+and never share a code path beyond the gcd primitive.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .factor import factorize
+from .factor import divisors, factorize
 from .limits import (
     bounded_pow,
     check_loop_budget,
@@ -138,29 +142,20 @@ def gcd_pow_k(a: int, b: int, k: int) -> int:
 
 
 def euler_phi(m: int) -> int:
-    """Euler totient via the product formula over the factorization."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    ensure_u128(m, "m")
-    out = m
-    for p, _ in factorize(m):
-        out = out // p * (p - 1)
-    return out
+    """Euler totient, the k = 1 case of cohen_phi."""
+    return cohen_phi(m, 1)
 
 
 def cohen_phi(m: int, k: int) -> int:
     """Eckford Cohen totient phi_k(m) = m**k * prod_{p | m} (1 - p**-k).
 
     Counts 1 <= a <= m**k with (a, m**k)_k = 1; cohen_phi(m, 1) is the
-    Euler totient.  Computed from the factorization alone.
+    Euler totient.  Evaluates cohen_phi_rule(k) over the factorization.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
-    out = checked_pow(m, k, "m^k")
-    for p, _ in factorize(m):
-        pk = p**k
-        out = out // pk * (pk - 1)
-    return out
+    checked_pow(m, k, "m^k")
+    return eval_multiplicative(cohen_phi_rule(k), m)
 
 
 def cohen_phi_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
@@ -177,42 +172,28 @@ def cohen_phi_bruteforce(m: int, k: int, max_iterations: int | None = None) -> i
 
 
 def divisor_count(m: int) -> int:
-    """d(m), the number of positive divisors."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    out = 1
-    for _, v in factorize(m):
-        out *= v + 1
-    return out
+    """d(m), the number of positive divisors: d_s_k at s = k = 1."""
+    return d_s_k(m, 1, 1)
 
 
 def d_s(m: int, s: int) -> int:
-    """Count of divisors of m coprime to s.
+    """Count of divisors of m coprime to s: the k = 1 case of d_s_k.
 
     Total in s: d_s = d_{-s}, d_0(m) = 1 (only the divisor 1 is coprime
     to 0), and d_s(m) = d(m) when (s, m) = 1.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    out = 1
-    for p, v in factorize(m):
-        if s % p != 0:
-            out *= v + 1
-    return out
+    return d_s_k(m, s, 1)
 
 
 def d_s_k(m: int, s: int, k: int) -> int:
     """The k-th power analogue of d_s: prime-power rule 1 if p**k | s else v+1.
 
     d_s_k(m, s, 1) = d_s(m, s); s = 0 gives 1 since every p**k divides 0.
+    Evaluates d_s_k_rule(s, k) over the factorization.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
-    out = 1
-    for p, v in factorize(m):
-        if not _kth_power_divides(p, k, s):
-            out *= v + 1
-    return out
+    return eval_multiplicative(d_s_k_rule(s, k), m)
 
 
 def _kth_power_divides(p: int, k: int, s: int) -> bool:
@@ -226,13 +207,13 @@ def _kth_power_divides(p: int, k: int, s: int) -> bool:
 def pillai(m: int, k: int) -> int:
     """Gcd-power sum P_k(m) via the divisor sum sum_{d|m} d**k * phi_k(m/d).
 
-    At prime powers this equals (v+1)*p**(v*k) - v*p**((v-1)*k).
+    This route never reads pillai_rule(k), so each checks the other.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     checked_pow(m, k, "m^k")
     total = 0
-    for d in _divisors_of(m):
+    for d in divisors(m):
         total = ensure_u128(
             total + checked_mul(d**k, cohen_phi(m // d, k), "d^k * phi_k(m/d)"),
             "P_k(m)",
@@ -263,22 +244,12 @@ def eval_multiplicative(f: MultiplicativeFunction, m: int) -> int:
     return out
 
 
-def _divisors_of(m: int) -> list[int]:
-    divs = [1]
-    for p, v in factorize(m):
-        pk = 1
-        extended = list(divs)
-        for _ in range(v):
-            pk *= p
-            extended.extend(d * pk for d in divs)
-        divs = extended
-    return divs
-
-
-# Ready-made prime-power rules for the functions above.
+# The prime-power rules: the one place each closed form's local factor
+# f(p**v) is written.  The scalar functions above evaluate them over
+# factorize(m), and batch evaluates them over the sieve's factorizations.
 
 def euler_phi_rule() -> MultiplicativeFunction:
-    return MultiplicativeFunction("phi", lambda p, v: p**v - p ** (v - 1))
+    return cohen_phi_rule(1)
 
 
 def cohen_phi_rule(k: int) -> MultiplicativeFunction:
@@ -290,20 +261,20 @@ def cohen_phi_rule(k: int) -> MultiplicativeFunction:
 
 
 def divisor_count_rule() -> MultiplicativeFunction:
-    return MultiplicativeFunction("d", lambda p, v: v + 1)
+    return d_s_k_rule(1, 1)
 
 
 def d_s_rule(s: int) -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        f"d_s[s={s}]", lambda p, v: 1 if s % p == 0 else v + 1
-    )
+    return d_s_k_rule(s, 1)
 
 
 def d_s_k_rule(s: int, k: int) -> MultiplicativeFunction:
     if k < 1:
         raise ValueError("k must be a positive integer")
+    # p | s is necessary for p**k | s, and one modulo rules most primes out.
     return MultiplicativeFunction(
-        f"d_s_k[s={s},k={k}]", lambda p, v: 1 if _kth_power_divides(p, k, s) else v + 1
+        f"d_s_k[s={s},k={k}]",
+        lambda p, v: 1 if s % p == 0 and _kth_power_divides(p, k, s) else v + 1,
     )
 
 

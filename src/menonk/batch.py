@@ -3,10 +3,11 @@
 The sieve is linear (every composite is struck exactly once, by its
 smallest prime factor), so construction is O(N) and the factorization
 of any m <= N falls out by repeated spf division with no trial division
-per row.  Closed forms here are computed straight from the prime-power
-rules; the Pillai column deliberately takes the multiplicative route
-rather than arith.pillai's divisor sum, giving the table an independent
-path to cross-check.
+per row.  Each column multiplies arith's prime-power rule over the
+row's (p, v) pairs, so the table and the scalar functions share one
+definition per closed form.  The Pillai column takes that multiplicative
+route rather than arith.pillai's divisor sum, giving the table an
+independent path to cross-check.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
+from .arith import cohen_phi_rule, d_s_k_rule, pillai_rule
 from .factor import Factorization
 from .limits import (
     ResourceLimitError,
-    check_loop_budget,
+    check_table_classes,
     checked_mul,
     checked_pow,
+    resolve_max_iterations,
 )
 from .menon import MenonParams, menon_sum_bruteforce
 
@@ -48,19 +51,22 @@ class SpfSieve:
 
     def factorization(self, m: int) -> Factorization:
         """Factorization of 1 <= m <= limit by repeated spf division."""
-        if m == 1:
-            return Factorization(())
         if m < 1 or m > self.limit:
             raise ValueError(f"m = {m} outside sieve range [1, {self.limit}]")
+        return Factorization(tuple(self._pairs(m)))
+
+    def _pairs(self, m: int) -> list[tuple[int, int]]:
+        """The (p, v) with p**v || m, primes ascending; unchecked, [] for m = 1."""
+        spf = self.spf
         pairs = []
         while m > 1:
-            p = self.spf[m]
+            p = spf[m]
             v = 0
             while m % p == 0:
                 m //= p
                 v += 1
             pairs.append((p, v))
-        return Factorization(tuple(pairs))
+        return pairs
 
 
 def build_sieve(limit: int) -> SpfSieve:
@@ -119,12 +125,27 @@ def batch_table(
         raise ValueError("n and k must be positive integers")
     checked_pow(n, k, "n^k")
     if with_bruteforce:
-        check_loop_budget(n**k, max_iterations, f"brute-force columns up to {n}^{k}")
+        _check_bruteforce_budget(n, k, max_iterations)
     if sieve is None and n >= 2:
         sieve = build_sieve(n)
     elif sieve is not None and sieve.limit < n:
         raise ValueError(f"sieve limit {sieve.limit} is below n = {n}")
     return _rows(n, s, k, with_bruteforce, max_iterations, sieve)
+
+
+def _check_bruteforce_budget(n: int, k: int, max_iterations: int | None) -> None:
+    """Refuse brute-force columns whose total work, sum of m**k over m <= n, is over the cap.
+
+    The sum stops as soon as it passes the cap, after at most min(n, cap + 1) terms.
+    """
+    what = f"brute-forcing m = 1..{n} at k = {k}"
+    check_table_classes(n**k, what)
+    cap = resolve_max_iterations(max_iterations)
+    total = 0
+    for m in range(1, n + 1):
+        total += m**k
+        if total > cap:
+            raise ResourceLimitError(f"{what} needs more iterations than the cap of {cap}")
 
 
 def _rows(
@@ -135,18 +156,15 @@ def _rows(
     max_iterations: int | None,
     sieve: SpfSieve | None,
 ) -> Iterator[BatchRow]:
+    phi_rule = cohen_phi_rule(k).prime_power
+    dsk_rule = d_s_k_rule(s, k).prime_power
+    pil_rule = pillai_rule(k).prime_power
     for m in range(1, n + 1):
-        pairs = sieve.factorization(m).pairs if m >= 2 else ()
-        phi_k = 1
-        dsk = 1
-        pil = 1
-        for p, v in pairs:
-            pvk = p ** (v * k)
-            pv1k = p ** ((v - 1) * k)
-            phi_k = checked_mul(phi_k, pvk - pv1k, "phi_k")
-            if s % p**k != 0:
-                dsk *= v + 1
-            pil = checked_mul(pil, (v + 1) * pvk - v * pv1k, "P_k")
+        phi_k = dsk = pil = 1
+        for p, v in sieve._pairs(m) if m >= 2 else ():
+            phi_k = checked_mul(phi_k, phi_rule(p, v), "phi_k")
+            dsk *= dsk_rule(p, v)
+            pil = checked_mul(pil, pil_rule(p, v), "P_k")
         rhs = checked_mul(dsk, phi_k, "d_s_k * phi_k")
         lhs = None
         verified = None

@@ -17,6 +17,7 @@ import click
 from . import arith, batch, menon
 from .limits import (
     MAX_ITERATIONS_ENV,
+    MAX_TABLE_CLASSES,
     ResourceLimitError,
     Uint128OverflowError,
     bounded_pow,
@@ -123,9 +124,10 @@ def cmd_compute(ctx, function: str, m: int | None, s: int | None, k: int | None)
 def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> None:
     """Check lhs = rhs over a (m, s, k) grid; nonzero exit on any failure.
 
-    Grid points whose brute-force sum would exceed the iteration cap are
-    skipped and counted.  Every failure is printed in full (a failure
-    means an implementation bug: the identity itself always holds).
+    Grid points whose brute-force sum would exceed the iteration cap, or
+    whose table would exceed the class bound, are skipped and counted.
+    Every failure is printed in full (a failure means an implementation
+    bug: the identity itself always holds).
     """
     cap = ctx.obj["max_iterations"]
     ms = _parse_range(m_range, "m")
@@ -134,13 +136,11 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
     if not ms or not ss or ms.start < 1:
         raise click.UsageError("empty or invalid grid: need m >= 1 and nonempty ranges")
 
-    effective_cap = resolve_max_iterations(cap)
+    bound = min(resolve_max_iterations(cap), MAX_TABLE_CLASSES)
     checked = passed = failed = skipped = 0
     for k in ks:
-        # m**k grows with m, so the moduli over the cap are a suffix of ms.
-        over = bisect.bisect_left(
-            ms, True, key=lambda m: bounded_pow(m, k, effective_cap) is None
-        )
+        # m**k grows with m, so the skipped moduli are a suffix of ms.
+        over = bisect.bisect_left(ms, True, key=lambda m: bounded_pow(m, k, bound) is None)
         skipped += (len(ms) - over) * len(ss)
         for m in ms[:over]:
             for s, lhs in zip(ss, menon.menon_sums(m, k, ss, cap)):

@@ -8,7 +8,8 @@ number callers can no longer treat as a machine word.
 
 Brute-force summations (residue enumeration, direct gcd sums) are
 bounded by an iteration cap so an oversized modulus fails loudly
-instead of hanging.
+instead of hanging.  The tables those sums read are also bounded in
+size, whatever the cap, so a raised cap cannot exhaust memory.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ U128_MAX = (1 << 128) - 1
 #: Default per-call bound on brute-force loop length.  Callers may pass
 #: their own cap; the CLI exposes it as --max-iterations.
 DEFAULT_MAX_ITERATIONS = 10_000_000
+
+#: Most classes mod m**k one brute-force table may hold, whatever the
+#: iteration cap.  A class costs about 36 bytes, so this is about 1.2 GB.
+MAX_TABLE_CLASSES = 2**25
 
 #: Environment variable the CLI reads as its default --max-iterations.
 MAX_ITERATIONS_ENV = "MENONK_MAX_ITERATIONS"
@@ -83,3 +88,12 @@ def check_loop_budget(iterations: int, max_iterations: int | None, what: str) ->
             f"{what} needs {iterations} iterations, over the cap of {cap}"
         )
     return iterations
+
+
+def check_table_classes(classes: int, what: str) -> int:
+    """Raise ResourceLimitError when a table of ``classes`` entries is over MAX_TABLE_CLASSES."""
+    if classes > MAX_TABLE_CLASSES:
+        raise ResourceLimitError(
+            f"{what} needs a table of {classes} classes, over the bound of {MAX_TABLE_CLASSES}"
+        )
+    return classes

@@ -17,7 +17,6 @@ implementation bug, not a false identity) with full context.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
@@ -75,7 +74,6 @@ class IdentityReport:
     lhs: int
     rhs: int
     holds: bool
-    elapsed: float
 
 
 def menon_sum_over(elements: Iterable[int], params: MenonParams) -> int:
@@ -130,11 +128,9 @@ def menon_closed_form(params: MenonParams) -> int:
 
 def verify_identity(params: MenonParams, max_iterations: int | None = None) -> IdentityReport:
     """Evaluate both routes and report whether they agree (they must)."""
-    start = time.perf_counter()
     lhs = menon_sum_bruteforce(params, max_iterations)
     rhs = menon_closed_form(params)
-    elapsed = time.perf_counter() - start
-    return IdentityReport(params, lhs, rhs, lhs == rhs, elapsed)
+    return IdentityReport(params, lhs, rhs, lhs == rhs)
 
 
 def verify_rao_precondition(params: MenonParams) -> bool:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 
 from .arith import cohen_phi, gcd_pow_k, largest_kth_power_divisor
-from .limits import check_loop_budget, checked_mul, checked_pow
+from .limits import check_loop_budget, check_table_classes, checked_mul, checked_pow
 
 __all__ = [
     "ResidueSet",
@@ -70,8 +70,9 @@ def _gcd_table(m: int, k: int) -> tuple[list[int], bytes]:
 
     One C-level gcd pass over the classes; the k-th power part is then
     looked up once per distinct gcd, i.e. once per divisor of m**k.
+    Refused before anything is allocated when m**k is over MAX_TABLE_CLASSES.
     """
-    mk = m**k
+    mk = check_table_classes(m**k, f"enumerating residues mod {m}^{k}")
     gcds = list(map(math.gcd, range(mk), repeat(mk)))
     kth = {g: largest_kth_power_divisor(g, k) for g in set(gcds)}
     table = list(map(kth.__getitem__, gcds))

@@ -263,6 +263,31 @@ def test_d_s_k_huge_k_decided_without_the_power():
     # the screen's edge: 2^100 has bit length 101
     assert d_s_k(2, 2**100, 100) == d_s_k(2, -(2**100), 100) == 1
     assert d_s_k(2, 2**100, 101) == d_s_k_rule(2**100, 101)(2) == 2
+    # p | s passes the one-modulo screen, then p^k > |s| still decides it
+    assert d_s_k(2, 2, 10**8) == 2
+    assert d_s_k_rule(6, 10**8)(3) == 2
+    assert d_s_rule(0)(5) == 1
+
+
+def test_closed_form_domain_errors():
+    # the k = 1 names route through the k-th power forms and keep their domain
+    closed_forms = {
+        "euler_phi": lambda m, k: euler_phi(m),
+        "cohen_phi": cohen_phi,
+        "divisor_count": lambda m, k: divisor_count(m),
+        "d_s": lambda m, k: d_s(m, 3),
+        "d_s_k": lambda m, k: d_s_k(m, 3, k),
+        "pillai": pillai,
+    }
+    for name, f in closed_forms.items():
+        with pytest.raises(ValueError):
+            f(0, 1)
+        with pytest.raises(Uint128OverflowError):
+            f(2**128, 1)
+        assert f(1, 1) == 1, name
+    for f in (cohen_phi, closed_forms["d_s_k"], pillai):
+        with pytest.raises(ValueError):
+            f(5, 0)
 
 
 def test_d_s_k_reduces_to_d_s():

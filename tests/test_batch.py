@@ -84,6 +84,15 @@ def test_batch_without_bruteforce_leaves_columns_unset():
 def test_batch_bruteforce_cap():
     with pytest.raises(ResourceLimitError):
         list(batch_table(100, 1, 1, with_bruteforce=True, max_iterations=50))
+    # every row is under the cap, but the whole table sums 20100 terms: refused up front
+    with pytest.raises(ResourceLimitError):
+        batch_table(200, 1, 1, with_bruteforce=True, max_iterations=10_000)
+    assert len(list(batch_table(140, 1, 1, with_bruteforce=True, max_iterations=10_000))) == 140
+    with pytest.raises(ResourceLimitError):  # 40^2 and 1 + ... + 40 fit; the 22140 terms do not
+        batch_table(40, 1, 2, with_bruteforce=True, max_iterations=20_000)
+    # the last row's table of 2^26 classes is over MAX_TABLE_CLASSES, whatever the cap
+    with pytest.raises(ResourceLimitError):
+        batch_table(2**13, 1, 2, with_bruteforce=True, max_iterations=10**40)
     # closed forms alone are not capped
     assert len(list(batch_table(100, 1, 1, max_iterations=50))) == 100
 

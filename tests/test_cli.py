@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=None):
+def run_module(*argv, timeout=None, preexec_fn=None):
     # python -m puts its working directory first on sys.path, so this
     # runs the checkout's menonk whether or not it is installed.
     return subprocess.run(
@@ -24,7 +25,16 @@ def run_module(*argv, timeout=None):
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
+
+
+def limit_address_space():
+    # A table that escapes its bound fails here at 2 GiB instead of
+    # growing until the timeout.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def test_compute_examples(capsys):
@@ -264,3 +274,21 @@ def test_compute_d_s_k_huge_k():
     proc = run_module("compute", "d-s-k", "--m", "3", "--s", "1", "--k", "100000000", timeout=10)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "2\n"
+
+
+def test_table_bound_holds_whatever_the_cap():
+    # 2^64 classes are far over MAX_TABLE_CLASSES; a raised cap must not let the table grow.
+    m, cap = str(2**64), str(10**40)
+    for argv in (
+        ("residues", "--m", m, "--k", "1"),
+        ("compute", "menon-lhs", "--m", m, "--s", "0", "--k", "1"),
+    ):
+        proc = run_module("--max-iterations", cap, *argv, timeout=10, preexec_fn=limit_address_space)
+        assert proc.returncode == EXIT_LIMIT, argv
+        assert "over the bound" in proc.stderr, argv
+    proc = run_module(
+        "--max-iterations", cap, "verify", "--m", f"{m}..{m}", "--s", "0..0", "--k", "1",
+        timeout=10, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == "checked=0 passed=0 failed=0 skipped=1\n"
