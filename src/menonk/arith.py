@@ -21,6 +21,13 @@ checked against ``pillai_rule``.  Every function with a closed form
 also has a brute-force twin here (suffix ``_bruteforce``) that evaluates
 the defining count or sum literally; the twins are each other's oracles
 and never share a code path beyond the gcd primitive.
+
+The literal side is one pass: ``kth_gcd_classes(m, k)`` streams
+(x, m**k)_k over the classes x mod m**k, behind the one budget gate
+``limits.check_classes`` (at most min(cap, 2**25) classes).  The two
+oracles consume it lazily, holding only one k-th power part per divisor
+of m**k; the literal Menon sum (``residues._gcd_table``) keeps it as a
+table so every shift reads the same classes.
 """
 
 from __future__ import annotations
@@ -28,24 +35,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterator
 
 from .factor import divisors, factorize
-from .limits import (
-    bounded_pow,
-    check_loop_budget,
-    checked_mul,
-    checked_pow,
-    ensure_u128,
-)
+from .limits import bounded_pow, check_classes, checked_mul, checked_pow, ensure_u128
 
 __all__ = [
     "MultiplicativeFunction",
-    "PrimeLocalValue",
-    "local_values",
     "gcd",
     "gcd_pow_k",
     "largest_kth_power_divisor",
+    "kth_gcd_classes",
     "euler_phi",
     "cohen_phi",
     "cohen_phi_bruteforce",
@@ -55,10 +56,7 @@ __all__ = [
     "pillai",
     "pillai_bruteforce",
     "eval_multiplicative",
-    "euler_phi_rule",
     "cohen_phi_rule",
-    "divisor_count_rule",
-    "d_s_rule",
     "d_s_k_rule",
     "pillai_rule",
 ]
@@ -78,24 +76,6 @@ class MultiplicativeFunction:
 
     def __call__(self, m: int) -> int:
         return eval_multiplicative(self, m)
-
-
-@dataclass(frozen=True)
-class PrimeLocalValue:
-    """One local factor f(p**v) of a multiplicative evaluation."""
-
-    prime: int
-    exponent: int
-    value: int
-
-
-def local_values(f: MultiplicativeFunction, m: int) -> tuple[PrimeLocalValue, ...]:
-    """The per-prime-power factors whose product is eval_multiplicative(f, m)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return tuple(
-        PrimeLocalValue(p, v, f.prime_power(p, v)) for p, v in factorize(m)
-    )
 
 
 def gcd(a: int, b: int) -> int:
@@ -135,10 +115,21 @@ def gcd_pow_k(a: int, b: int, k: int) -> int:
         raise ValueError("b must be a positive integer")
     ensure_u128(abs(a), "|a|")
     ensure_u128(b, "b")
-    g = b if a == 0 else math.gcd(a, b)
-    if k == 1:
-        return g
-    return largest_kth_power_divisor(g, k)
+    return largest_kth_power_divisor(math.gcd(a, b), k)
+
+
+def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:
+    """(x, m**k)_k for x = 0, 1, ..., m**k - 1, lazily: the one literal pass.
+
+    Arguments and the budget (``limits.check_classes``) are checked here,
+    before the iterator is returned.  The gcd of a class with m**k is a
+    divisor of m**k, so the k-th power part is looked up once per divisor.
+    """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive integers")
+    mk = check_classes(m, k, max_iterations, f"enumerating residues mod {m}^{k}")
+    kth = {g: largest_kth_power_divisor(g, k) for g in divisors(mk)}
+    return map(kth.__getitem__, map(math.gcd, range(mk), repeat(mk)))
 
 
 def euler_phi(m: int) -> int:
@@ -159,16 +150,8 @@ def cohen_phi(m: int, k: int) -> int:
 
 
 def cohen_phi_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
-    """phi_k(m) by literal counting over [1, m**k]; oracle for cohen_phi."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = checked_pow(m, k, "m^k")
-    check_loop_budget(mk, max_iterations, f"counting phi_k({m}) with k={k}")
-    if k == 1:
-        _gcd = math.gcd
-        return sum(1 for a in range(1, mk + 1) if _gcd(a, mk) == 1)
-    _gcd, _kth = math.gcd, largest_kth_power_divisor
-    return sum(1 for a in range(1, mk + 1) if _kth(_gcd(a, mk), k) == 1)
+    """phi_k(m) by literally counting the classes mod m**k with (x, m**k)_k = 1."""
+    return sum(map((1).__eq__, kth_gcd_classes(m, k, max_iterations)))
 
 
 def divisor_count(m: int) -> int:
@@ -222,16 +205,8 @@ def pillai(m: int, k: int) -> int:
 
 
 def pillai_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
-    """P_k(m) by literal summation of (a, m**k)_k over [1, m**k]."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = checked_pow(m, k, "m^k")
-    check_loop_budget(mk, max_iterations, f"summing P_k({m}) with k={k}")
-    _gcd = math.gcd
-    if k == 1:
-        return sum(_gcd(a, mk) for a in range(1, mk + 1))
-    _kth = largest_kth_power_divisor
-    return sum(_kth(_gcd(a, mk), k) for a in range(1, mk + 1))
+    """P_k(m) by literally summing (x, m**k)_k over the classes mod m**k."""
+    return sum(kth_gcd_classes(m, k, max_iterations))
 
 
 def eval_multiplicative(f: MultiplicativeFunction, m: int) -> int:
@@ -248,24 +223,12 @@ def eval_multiplicative(f: MultiplicativeFunction, m: int) -> int:
 # f(p**v) is written.  The scalar functions above evaluate them over
 # factorize(m), and batch evaluates them over the sieve's factorizations.
 
-def euler_phi_rule() -> MultiplicativeFunction:
-    return cohen_phi_rule(1)
-
-
 def cohen_phi_rule(k: int) -> MultiplicativeFunction:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return MultiplicativeFunction(
         f"phi_{k}", lambda p, v: p ** (v * k) - p ** ((v - 1) * k)
     )
-
-
-def divisor_count_rule() -> MultiplicativeFunction:
-    return d_s_k_rule(1, 1)
-
-
-def d_s_rule(s: int) -> MultiplicativeFunction:
-    return d_s_k_rule(s, 1)
 
 
 def d_s_k_rule(s: int, k: int) -> MultiplicativeFunction:

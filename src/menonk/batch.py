@@ -20,7 +20,7 @@ from .arith import cohen_phi_rule, d_s_k_rule, pillai_rule
 from .factor import Factorization
 from .limits import (
     ResourceLimitError,
-    check_table_classes,
+    check_classes,
     checked_mul,
     checked_pow,
     resolve_max_iterations,
@@ -134,18 +134,20 @@ def batch_table(
 
 
 def _check_bruteforce_budget(n: int, k: int, max_iterations: int | None) -> None:
-    """Refuse brute-force columns whose total work, sum of m**k over m <= n, is over the cap.
+    """Refuse brute-force columns if row m = n fails the class gate or the total is over the cap.
 
-    The sum stops as soon as it passes the cap, after at most min(n, cap + 1) terms.
+    The total, sum of m**k over m <= n, stops as soon as it passes the
+    cap, after at most min(n, cap + 1) terms.
     """
-    what = f"brute-forcing m = 1..{n} at k = {k}"
-    check_table_classes(n**k, what)
+    check_classes(n, k, max_iterations, f"brute-forcing m = {n} at k = {k}")
     cap = resolve_max_iterations(max_iterations)
     total = 0
     for m in range(1, n + 1):
         total += m**k
         if total > cap:
-            raise ResourceLimitError(f"{what} needs more iterations than the cap of {cap}")
+            raise ResourceLimitError(
+                f"brute-forcing m = 1..{n} at k = {k} needs more iterations than the cap of {cap}"
+            )
 
 
 def _rows(

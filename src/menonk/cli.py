@@ -17,11 +17,10 @@ import click
 from . import arith, batch, menon
 from .limits import (
     MAX_ITERATIONS_ENV,
-    MAX_TABLE_CLASSES,
     ResourceLimitError,
     Uint128OverflowError,
     bounded_pow,
-    resolve_max_iterations,
+    classes_bound,
 )
 from .residues import standard_residue_set
 
@@ -136,7 +135,7 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
     if not ms or not ss or ms.start < 1:
         raise click.UsageError("empty or invalid grid: need m >= 1 and nonempty ranges")
 
-    bound = min(resolve_max_iterations(cap), MAX_TABLE_CLASSES)
+    bound = classes_bound(cap)
     checked = passed = failed = skipped = 0
     for k in ks:
         # m**k grows with m, so the skipped moduli are a suffix of ms.
@@ -170,14 +169,7 @@ def _format_cell(value, absent: str) -> str:
 
 
 def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
-    if fmt == "csv":
-        yield ",".join(_TABLE_COLUMNS)
-        for r in rows:
-            yield ",".join(
-                _format_cell(v, "")
-                for v in (r.m, r.phi_k, r.d_s_k, r.pillai_k, r.menon_lhs, r.menon_rhs, r.verified)
-            )
-    elif fmt == "json-lines":
+    if fmt == "json-lines":
         for r in rows:
             record = {
                 "m": r.m,
@@ -191,13 +183,14 @@ def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
             if r.verified is not None:
                 record["verified"] = r.verified
             yield json.dumps(record, separators=(",", ":"))
-    else:  # plain
-        yield " ".join(_TABLE_COLUMNS)
-        for r in rows:
-            yield " ".join(
-                _format_cell(v, "-")
-                for v in (r.m, r.phi_k, r.d_s_k, r.pillai_k, r.menon_lhs, r.menon_rhs, r.verified)
-            )
+        return
+    sep, absent = (",", "") if fmt == "csv" else (" ", "-")
+    yield sep.join(_TABLE_COLUMNS)
+    for r in rows:
+        yield sep.join(
+            _format_cell(v, absent)
+            for v in (r.m, r.phi_k, r.d_s_k, r.pillai_k, r.menon_lhs, r.menon_rhs, r.verified)
+        )
 
 
 @cli.command("table")

@@ -6,10 +6,10 @@ enforced explicitly: an operation whose exact result would leave the
 domain raises ``Uint128OverflowError`` instead of quietly producing a
 number callers can no longer treat as a machine word.
 
-Brute-force summations (residue enumeration, direct gcd sums) are
-bounded by an iteration cap so an oversized modulus fails loudly
-instead of hanging.  The tables those sums read are also bounded in
-size, whatever the cap, so a raised cap cannot exhaust memory.
+Every literal pass over the classes mod m**k (residue enumeration,
+direct gcd sums) goes through one gate, ``check_classes``: it visits at
+most min(cap, MAX_TABLE_CLASSES) classes, so an oversized modulus fails
+loudly instead of hanging, and a raised cap cannot exhaust memory.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ U128_MAX = (1 << 128) - 1
 #: their own cap; the CLI exposes it as --max-iterations.
 DEFAULT_MAX_ITERATIONS = 10_000_000
 
-#: Most classes mod m**k one brute-force table may hold, whatever the
-#: iteration cap.  A class costs about 36 bytes, so this is about 1.2 GB.
+#: Most classes mod m**k any literal route may visit, whatever the
+#: iteration cap.  A table costs a list slot and a mask byte, about 9.5
+#: bytes a class, so about 320 MB.
 MAX_TABLE_CLASSES = 2**25
 
 #: Environment variable the CLI reads as its default --max-iterations.
@@ -80,20 +81,24 @@ def resolve_max_iterations(max_iterations: int | None) -> int:
     return max_iterations
 
 
-def check_loop_budget(iterations: int, max_iterations: int | None, what: str) -> int:
-    """Raise ResourceLimitError when a loop of ``iterations`` exceeds the cap."""
+def classes_bound(max_iterations: int | None) -> int:
+    """Most classes mod m**k a literal route may visit: min(cap, MAX_TABLE_CLASSES)."""
+    return min(resolve_max_iterations(max_iterations), MAX_TABLE_CLASSES)
+
+
+def check_classes(m: int, k: int, max_iterations: int | None, what: str) -> int:
+    """m**k, once it is known to fit the domain, the cap and MAX_TABLE_CLASSES.
+
+    The one gate in front of every pass over the classes mod m**k: raises
+    Uint128OverflowError, then ResourceLimitError over the cap, then over
+    the class bound, before any class is visited.
+    """
+    mk = checked_pow(m, k, "m^k")
     cap = resolve_max_iterations(max_iterations)
-    if iterations > cap:
+    if mk > cap:
+        raise ResourceLimitError(f"{what} needs {mk} iterations, over the cap of {cap}")
+    if mk > MAX_TABLE_CLASSES:
         raise ResourceLimitError(
-            f"{what} needs {iterations} iterations, over the cap of {cap}"
+            f"{what} needs a table of {mk} classes, over the bound of {MAX_TABLE_CLASSES}"
         )
-    return iterations
-
-
-def check_table_classes(classes: int, what: str) -> int:
-    """Raise ResourceLimitError when a table of ``classes`` entries is over MAX_TABLE_CLASSES."""
-    if classes > MAX_TABLE_CLASSES:
-        raise ResourceLimitError(
-            f"{what} needs a table of {classes} classes, over the bound of {MAX_TABLE_CLASSES}"
-        )
-    return classes
+    return mk

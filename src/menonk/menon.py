@@ -28,7 +28,7 @@ from .arith import (
     largest_kth_power_divisor,
 )
 from .factor import is_prime
-from .limits import check_loop_budget, checked_mul, checked_pow
+from .limits import checked_mul, checked_pow
 from .residues import _gcd_table, standard_residue_set
 
 __all__ = [
@@ -83,12 +83,8 @@ def menon_sum_over(elements: Iterable[int], params: MenonParams) -> int:
     every reduced residue set of the same modulus, so callers may pass
     shifted representatives.
     """
-    mk = params.modulus
-    s = params.s
-    _gcd = math.gcd
-    if params.k == 1:
-        return sum(_gcd(a - s, mk) for a in elements)
-    _kth, k = largest_kth_power_divisor, params.k
+    mk, s, k = params.modulus, params.s, params.k
+    _gcd, _kth = math.gcd, largest_kth_power_divisor
     return sum(_kth(_gcd(a - s, mk), k) for a in elements)
 
 
@@ -103,11 +99,8 @@ def menon_sums(
     under the mask rotated left by s mod m**k: every element of the
     standard residue set still contributes its own term.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = checked_pow(m, k, "m^k")
-    check_loop_budget(mk, max_iterations, f"enumerating residues mod {m}^{k}")
-    table, mask = _gcd_table(m, k)
+    table, mask = _gcd_table(m, k, max_iterations)
+    mk = len(table)
     return (sum(compress(table, mask[r:] + mask[:r])) for r in (s % mk for s in shifts))
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 
-from .arith import cohen_phi, gcd_pow_k, largest_kth_power_divisor
-from .limits import check_loop_budget, check_table_classes, checked_mul, checked_pow
+from .arith import cohen_phi, gcd_pow_k, kth_gcd_classes
+from .limits import checked_mul, checked_pow
 
 __all__ = [
     "ResidueSet",
@@ -65,34 +65,28 @@ class ResidueSet:
             raise ValueError("elements are not pairwise incongruent mod m^k")
 
 
-def _gcd_table(m: int, k: int) -> tuple[list[int], bytes]:
+def _gcd_table(m: int, k: int, max_iterations: int | None) -> tuple[list[int], bytes]:
     """t[x] = (x, m**k)_k for x in [0, m**k), and the class mask bytes(t[x] == 1).
 
-    One C-level gcd pass over the classes; the k-th power part is then
-    looked up once per distinct gcd, i.e. once per divisor of m**k.
-    Refused before anything is allocated when m**k is over MAX_TABLE_CLASSES.
+    The table is arith.kth_gcd_classes held in a list, so it is refused,
+    before anything is allocated, by the same gate as every literal route.
     """
-    mk = check_table_classes(m**k, f"enumerating residues mod {m}^{k}")
-    gcds = list(map(math.gcd, range(mk), repeat(mk)))
-    kth = {g: largest_kth_power_divisor(g, k) for g in set(gcds)}
-    table = list(map(kth.__getitem__, gcds))
+    table = list(kth_gcd_classes(m, k, max_iterations))
     return table, bytes(map((1).__eq__, table))
 
 
-@lru_cache(maxsize=4096)
-def _standard_elements(m: int, k: int) -> tuple[int, ...]:
-    _, mask = _gcd_table(m, k)
+# maxsize=0 keeps no set (nothing asks for the same one twice) but keeps
+# cache_info(), which bench/worker.py reads.
+@lru_cache(maxsize=0)
+def _standard_elements(m: int, k: int, max_iterations: int | None) -> tuple[int, ...]:
+    _, mask = _gcd_table(m, k, max_iterations)
     # a in [1, m**k] lies in class a mod m**k: classes 1, ..., m**k - 1, then 0.
-    return tuple(compress(range(1, m**k + 1), mask[1:] + mask[:1]))
+    return tuple(compress(range(1, len(mask) + 1), mask[1:] + mask[:1]))
 
 
 def standard_residue_set(m: int, k: int, max_iterations: int | None = None) -> ResidueSet:
     """The canonical set: every a in [1, m**k] with (a, m**k)_k = 1."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = checked_pow(m, k, "m^k")
-    check_loop_budget(mk, max_iterations, f"enumerating residues mod {m}^{k}")
-    return ResidueSet(m, k, _standard_elements(m, k))
+    return ResidueSet(m, k, _standard_elements(m, k, max_iterations))
 
 
 def crt_combine(a1: ResidueSet, a2: ResidueSet) -> ResidueSet:

@@ -1,26 +1,23 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from menonk.arith import (
-    PrimeLocalValue,
     cohen_phi,
     cohen_phi_bruteforce,
     cohen_phi_rule,
     d_s,
     d_s_k,
     d_s_k_rule,
-    d_s_rule,
     divisor_count,
-    divisor_count_rule,
     euler_phi,
-    euler_phi_rule,
     eval_multiplicative,
     gcd,
     gcd_pow_k,
+    kth_gcd_classes,
     largest_kth_power_divisor,
-    local_values,
     pillai,
     pillai_bruteforce,
     pillai_rule,
@@ -197,6 +194,9 @@ def test_cohen_phi_overflow_and_cap():
     with pytest.raises(ResourceLimitError):
         cohen_phi_bruteforce(10, 1, max_iterations=5)
     assert cohen_phi_bruteforce(10, 1, max_iterations=10) == 4
+    # 2^26 classes are over MAX_TABLE_CLASSES, whatever the cap
+    with pytest.raises(ResourceLimitError, match="over the bound"):
+        cohen_phi_bruteforce(2**13, 2, max_iterations=10**40)
 
 
 def test_divisor_count_examples():
@@ -266,7 +266,7 @@ def test_d_s_k_huge_k_decided_without_the_power():
     # p | s passes the one-modulo screen, then p^k > |s| still decides it
     assert d_s_k(2, 2, 10**8) == 2
     assert d_s_k_rule(6, 10**8)(3) == 2
-    assert d_s_rule(0)(5) == 1
+    assert d_s_k_rule(0, 1)(5) == 1
 
 
 def test_closed_form_domain_errors():
@@ -331,12 +331,44 @@ def test_pillai_bruteforce_examples():
 def test_pillai_cap():
     with pytest.raises(ResourceLimitError):
         pillai_bruteforce(10, 8)
+    with pytest.raises(ResourceLimitError, match="over the bound"):
+        pillai_bruteforce(2**13, 2, max_iterations=10**40)
+
+
+def test_kth_gcd_classes_match_gcd_pow_k():
+    for k, m_max in ((1, 30), (2, 30), (3, 10)):
+        for m in range(1, m_max + 1):
+            mk = m**k
+            classes = list(kth_gcd_classes(m, k))
+            assert len(classes) == mk
+            assert all(classes[x] == gcd_pow_k(x, mk, k) for x in range(mk)), (m, k)
+    with pytest.raises(ValueError):
+        kth_gcd_classes(0, 1)
+    with pytest.raises(ValueError):
+        kth_gcd_classes(3, 0)
+    with pytest.raises(Uint128OverflowError):
+        kth_gcd_classes(2**64, 2)
+    # refused when called, not when first read
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        kth_gcd_classes(10, 2, max_iterations=99)
+
+
+def test_oracles_stream_the_classes():
+    # 10^6 classes each; a list of them alone would take several MiB
+    for oracle, closed_form in ((cohen_phi_bruteforce, cohen_phi), (pillai_bruteforce, pillai)):
+        tracemalloc.start()
+        try:
+            assert oracle(1000, 2) == closed_form(1000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (oracle.__name__, peak)
 
 
 def test_eval_multiplicative_examples():
     assert eval_multiplicative(d_s_k_rule(12, 2), 4) == 1
     assert eval_multiplicative(cohen_phi_rule(1), 12) == 4
-    assert eval_multiplicative(divisor_count_rule(), 1) == 1
+    assert eval_multiplicative(d_s_k_rule(1, 1), 1) == 1
 
 
 def test_rules_match_direct_functions():
@@ -345,38 +377,22 @@ def test_rules_match_direct_functions():
         m = rng.randrange(1, 500)
         s = rng.randrange(-30, 31)
         k = rng.randrange(1, 4)
-        assert eval_multiplicative(euler_phi_rule(), m) == euler_phi(m)
+        assert eval_multiplicative(cohen_phi_rule(1), m) == euler_phi(m)
         assert eval_multiplicative(cohen_phi_rule(k), m) == cohen_phi(m, k)
-        assert eval_multiplicative(divisor_count_rule(), m) == divisor_count(m)
-        assert eval_multiplicative(d_s_rule(s), m) == d_s(m, s)
+        assert eval_multiplicative(d_s_k_rule(1, 1), m) == divisor_count(m)
+        assert eval_multiplicative(d_s_k_rule(s, 1), m) == d_s(m, s)
         assert eval_multiplicative(d_s_k_rule(s, k), m) == d_s_k(m, s, k)
         assert eval_multiplicative(pillai_rule(k), m) == pillai(m, k)
-
-
-def test_local_values_recompose():
-    locals_ = local_values(d_s_k_rule(12, 2), 36)
-    assert locals_ == (PrimeLocalValue(2, 2, 1), PrimeLocalValue(3, 2, 3))
-    rng = random.Random(43)
-    for _ in range(50):
-        m = rng.randrange(1, 2000)
-        rule = cohen_phi_rule(2)
-        parts = local_values(rule, m)
-        product = 1
-        for part in parts:
-            assert part.value == rule.prime_power(part.prime, part.exponent)
-            product *= part.value
-        assert product == eval_multiplicative(rule, m)
-    assert local_values(divisor_count_rule(), 1) == ()
 
 
 def test_rules_are_multiplicative():
     # f(m1*m2) = f(m1)*f(m2) on sampled coprime pairs, straight from the type's contract
     rng = random.Random(40)
     rules = [
-        euler_phi_rule(),
+        cohen_phi_rule(1),
         cohen_phi_rule(2),
-        divisor_count_rule(),
-        d_s_rule(6),
+        d_s_k_rule(1, 1),
+        d_s_k_rule(6, 1),
         d_s_k_rule(12, 2),
         pillai_rule(2),
     ]

@@ -7,6 +7,7 @@ from menonk.arith import cohen_phi, gcd_pow_k
 from menonk.limits import ResourceLimitError, Uint128OverflowError
 from menonk.residues import (
     ResidueSet,
+    _standard_elements,
     crt_combine,
     is_kth_power_coprime,
     standard_residue_set,
@@ -20,6 +21,14 @@ def test_standard_set_examples():
     assert len(s42) == 12
     one = standard_residue_set(1, 3)
     assert one.elements == (1,)
+
+
+def test_standard_sets_are_not_kept():
+    # a set can hold up to 2^25 elements, and nothing asks for the same one twice
+    _standard_elements.cache_clear()
+    assert standard_residue_set(12, 2) == standard_residue_set(12, 2)
+    info = _standard_elements.cache_info()
+    assert info.currsize == 0 and info.misses == 2
 
 
 def test_standard_set_invariants():
