@@ -13,14 +13,16 @@ Definitions (all exact integers):
     P_k(m)       gcd-power sum, sum_{a=1}^{m**k} (a, m**k)_k
                  = sum_{d | m} d**k * phi_k(m / d)
 
-Each closed form is defined once, as its prime-power rule (the
-``*_rule`` factories at the end of this module); the scalar functions
-evaluate that rule over ``factorize`` and ``batch`` evaluates it over
-the sieve.  ``pillai`` instead takes the divisor sum, a third route
-checked against ``pillai_rule``.  Every function with a closed form
-also has a brute-force twin here (suffix ``_bruteforce``) that evaluates
-the defining count or sum literally; the twins are each other's oracles
-and never share a code path beyond the gcd primitive.
+Each closed form is defined once, as its prime-power rule: a plain
+(p, v) -> int function from one of the ``*_rule`` factories at the end
+of this module.  ``eval_multiplicative(rule, pairs)`` is the one product
+over (p, v) pairs; the scalar functions feed it ``factorize(m)`` and
+``batch`` feeds it the sieve's pairs.  ``pillai`` instead takes the
+divisor sum, a third route checked against ``pillai_rule``.  Every
+function with a closed form also has a brute-force twin here (suffix
+``_bruteforce``) that evaluates the defining count or sum literally;
+the twins are each other's oracles and never share a code path beyond
+the gcd primitive.
 
 The literal side is one pass: ``kth_gcd_classes(m, k)`` streams
 (x, m**k)_k over the classes x mod m**k, behind the one budget gate
@@ -33,16 +35,14 @@ table so every shift reads the same classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Callable, Iterator
+from itertools import repeat, starmap
+from typing import Callable, Iterable, Iterator
 
 from .factor import divisors, factorize
 from .limits import bounded_pow, check_classes, checked_mul, checked_pow, ensure_u128
 
 __all__ = [
-    "MultiplicativeFunction",
     "gcd",
     "gcd_pow_k",
     "largest_kth_power_divisor",
@@ -60,22 +60,6 @@ __all__ = [
     "d_s_k_rule",
     "pillai_rule",
 ]
-
-
-@dataclass(frozen=True)
-class MultiplicativeFunction:
-    """A multiplicative function given by its prime-power rule.
-
-    ``prime_power(p, v)`` must return the value at p**v; the global
-    function is the product of the rule over the factorization, with
-    the empty product giving f(1) = 1.  Rules must be side-effect-free.
-    """
-
-    name: str
-    prime_power: Callable[[int, int], int]
-
-    def __call__(self, m: int) -> int:
-        return eval_multiplicative(self, m)
 
 
 def gcd(a: int, b: int) -> int:
@@ -146,7 +130,7 @@ def cohen_phi(m: int, k: int) -> int:
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     checked_pow(m, k, "m^k")
-    return eval_multiplicative(cohen_phi_rule(k), m)
+    return eval_multiplicative(cohen_phi_rule(k), factorize(m))
 
 
 def cohen_phi_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
@@ -176,7 +160,7 @@ def d_s_k(m: int, s: int, k: int) -> int:
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
-    return eval_multiplicative(d_s_k_rule(s, k), m)
+    return eval_multiplicative(d_s_k_rule(s, k), factorize(m))
 
 
 def _kth_power_divides(p: int, k: int, s: int) -> bool:
@@ -209,41 +193,49 @@ def pillai_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
     return sum(kth_gcd_classes(m, k, max_iterations))
 
 
-def eval_multiplicative(f: MultiplicativeFunction, m: int) -> int:
-    """Product of f's prime-power rule over the factorization of m."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    out = 1
-    for p, v in factorize(m):
-        out = checked_mul(out, f.prime_power(p, v), f"{f.name}({m})")
-    return out
+Rule = Callable[[int, int], int]
+
+
+def eval_multiplicative(rule: Rule, pairs: Iterable[tuple[int, int]]) -> int:
+    """Product of rule(p, v) over the (p, v) pairs; the empty product is 1.
+
+    Every rule below is at least 1 at each prime power, so the product
+    never shrinks and one domain check at the end refuses exactly the
+    inputs a check after each factor would.
+    """
+    return ensure_u128(math.prod(starmap(rule, pairs)), rule.__name__)
 
 
 # The prime-power rules: the one place each closed form's local factor
-# f(p**v) is written.  The scalar functions above evaluate them over
-# factorize(m), and batch evaluates them over the sieve's factorizations.
+# f(p**v) is written.  Each rule is named after its column, and that
+# name is what eval_multiplicative's overflow message reports.
 
-def cohen_phi_rule(k: int) -> MultiplicativeFunction:
+def cohen_phi_rule(k: int) -> Rule:
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return MultiplicativeFunction(
-        f"phi_{k}", lambda p, v: p ** (v * k) - p ** ((v - 1) * k)
-    )
+
+    def phi_k(p: int, v: int) -> int:
+        return p ** (v * k) - p ** ((v - 1) * k)
+
+    return phi_k
 
 
-def d_s_k_rule(s: int, k: int) -> MultiplicativeFunction:
+def d_s_k_rule(s: int, k: int) -> Rule:
     if k < 1:
         raise ValueError("k must be a positive integer")
-    # p | s is necessary for p**k | s, and one modulo rules most primes out.
-    return MultiplicativeFunction(
-        f"d_s_k[s={s},k={k}]",
-        lambda p, v: 1 if s % p == 0 and _kth_power_divides(p, k, s) else v + 1,
-    )
+
+    def d_s_k(p: int, v: int) -> int:
+        # p | s is necessary for p**k | s, and one modulo rules most primes out.
+        return 1 if s % p == 0 and _kth_power_divides(p, k, s) else v + 1
+
+    return d_s_k
 
 
-def pillai_rule(k: int) -> MultiplicativeFunction:
+def pillai_rule(k: int) -> Rule:
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return MultiplicativeFunction(
-        f"P_{k}", lambda p, v: (v + 1) * p ** (v * k) - v * p ** ((v - 1) * k)
-    )
+
+    def P_k(p: int, v: int) -> int:
+        return (v + 1) * p ** (v * k) - v * p ** ((v - 1) * k)
+
+    return P_k

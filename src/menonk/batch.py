@@ -3,21 +3,21 @@
 The sieve is linear (every composite is struck exactly once, by its
 smallest prime factor), so construction is O(N) and the factorization
 of any m <= N falls out by repeated spf division with no trial division
-per row.  Each column multiplies arith's prime-power rule over the
-row's (p, v) pairs, so the table and the scalar functions share one
-definition per closed form.  The Pillai column takes that multiplicative
-route rather than arith.pillai's divisor sum, giving the table an
-independent path to cross-check.
+per row.  Each column is arith.eval_multiplicative of its prime-power
+rule over the row's (p, v) pairs, so the table and the scalar functions
+share one product and one definition per closed form.  The Pillai
+column takes that multiplicative route rather than arith.pillai's
+divisor sum, giving the table an independent path to cross-check.
+``BatchRow`` is a named tuple whose fields are the table's column order.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .arith import cohen_phi_rule, d_s_k_rule, pillai_rule
-from .factor import Factorization
+from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, pillai_rule
 from .limits import (
     ResourceLimitError,
     check_classes,
@@ -41,19 +41,11 @@ class SpfSieve:
     limit: int
     spf: array
 
-    def smallest_prime_factor(self, m: int) -> int:
-        if m < 2 or m > self.limit:
-            raise ValueError(f"m = {m} outside sieve range [2, {self.limit}]")
-        return self.spf[m]
-
-    def is_prime(self, m: int) -> bool:
-        return m >= 2 and self.smallest_prime_factor(m) == m
-
-    def factorization(self, m: int) -> Factorization:
-        """Factorization of 1 <= m <= limit by repeated spf division."""
+    def factorization(self, m: int) -> tuple[tuple[int, int], ...]:
+        """factorize(m) for 1 <= m <= limit, by repeated spf division."""
         if m < 1 or m > self.limit:
             raise ValueError(f"m = {m} outside sieve range [1, {self.limit}]")
-        return Factorization(tuple(self._pairs(m)))
+        return tuple(self._pairs(m))
 
     def _pairs(self, m: int) -> list[tuple[int, int]]:
         """The (p, v) with p**v || m, primes ascending; unchecked, [] for m = 1."""
@@ -91,12 +83,12 @@ def build_sieve(limit: int) -> SpfSieve:
     return SpfSieve(limit, spf)
 
 
-@dataclass(frozen=True)
-class BatchRow:
+class BatchRow(NamedTuple):
     """One tabulated modulus: closed forms, plus brute-force check on request.
 
-    menon_rhs is always d_s_k * phi_k; menon_lhs and verified are None
-    unless the table was built with brute force enabled.
+    The fields, in order, are the table's columns.  menon_rhs is always
+    d_s_k * phi_k; menon_lhs and verified are None unless the table was
+    built with brute force enabled.
     """
 
     m: int
@@ -114,7 +106,6 @@ def batch_table(
     k: int,
     with_bruteforce: bool = False,
     max_iterations: int | None = None,
-    sieve: SpfSieve | None = None,
 ) -> Iterator[BatchRow]:
     """Stream BatchRows for m = 1..n, factorizations served by the sieve.
 
@@ -126,11 +117,7 @@ def batch_table(
     checked_pow(n, k, "n^k")
     if with_bruteforce:
         _check_bruteforce_budget(n, k, max_iterations)
-    if sieve is None and n >= 2:
-        sieve = build_sieve(n)
-    elif sieve is not None and sieve.limit < n:
-        raise ValueError(f"sieve limit {sieve.limit} is below n = {n}")
-    return _rows(n, s, k, with_bruteforce, max_iterations, sieve)
+    return _rows(n, s, k, with_bruteforce, max_iterations, build_sieve(max(n, 2)))
 
 
 def _check_bruteforce_budget(n: int, k: int, max_iterations: int | None) -> None:
@@ -156,17 +143,15 @@ def _rows(
     k: int,
     with_bruteforce: bool,
     max_iterations: int | None,
-    sieve: SpfSieve | None,
+    sieve: SpfSieve,
 ) -> Iterator[BatchRow]:
-    phi_rule = cohen_phi_rule(k).prime_power
-    dsk_rule = d_s_k_rule(s, k).prime_power
-    pil_rule = pillai_rule(k).prime_power
+    phi_rule, dsk_rule, pil_rule = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     for m in range(1, n + 1):
-        phi_k = dsk = pil = 1
-        for p, v in sieve._pairs(m) if m >= 2 else ():
-            phi_k = checked_mul(phi_k, phi_rule(p, v), "phi_k")
-            dsk *= dsk_rule(p, v)
-            pil = checked_mul(pil, pil_rule(p, v), "P_k")
+        pairs = sieve._pairs(m)
+        phi_k = eval_multiplicative(phi_rule, pairs)
+        dsk = eval_multiplicative(dsk_rule, pairs)
+        # P_k >= d_s_k * phi_k at every prime power, so P_k overflows first.
+        pil = eval_multiplicative(pil_rule, pairs)
         rhs = checked_mul(dsk, phi_k, "d_s_k * phi_k")
         lhs = None
         verified = None

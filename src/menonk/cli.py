@@ -157,9 +157,6 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
         ctx.exit(EXIT_VERIFY_FAILED)
 
 
-_TABLE_COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_lhs", "menon_rhs", "verified")
-
-
 def _format_cell(value, absent: str) -> str:
     if value is None:
         return absent
@@ -169,28 +166,16 @@ def _format_cell(value, absent: str) -> str:
 
 
 def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
+    columns = batch.BatchRow._fields
     if fmt == "json-lines":
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         for r in rows:
-            record = {
-                "m": r.m,
-                "phi_k": r.phi_k,
-                "d_s_k": r.d_s_k,
-                "pillai_k": r.pillai_k,
-            }
-            if r.menon_lhs is not None:
-                record["menon_lhs"] = r.menon_lhs
-            record["menon_rhs"] = r.menon_rhs
-            if r.verified is not None:
-                record["verified"] = r.verified
-            yield json.dumps(record, separators=(",", ":"))
+            yield encode({c: v for c, v in zip(columns, r) if v is not None})
         return
     sep, absent = (",", "") if fmt == "csv" else (" ", "-")
-    yield sep.join(_TABLE_COLUMNS)
+    yield sep.join(columns)
     for r in rows:
-        yield sep.join(
-            _format_cell(v, absent)
-            for v in (r.m, r.phi_k, r.d_s_k, r.pillai_k, r.menon_lhs, r.menon_rhs, r.verified)
-        )
+        yield sep.join(_format_cell(v, absent) for v in r)
 
 
 @cli.command("table")

@@ -12,37 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .limits import ensure_u128
 
-__all__ = ["Factorization", "is_prime", "factorize", "divisors"]
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition ((p1, v1), (p2, v2), ...), primes ascending.
-
-    The factorization of 1 is the empty tuple; the product of p**v over
-    all pairs reconstructs the original integer.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        """The integer this factorization decomposes."""
-        out = 1
-        for p, v in self.pairs:
-            out *= p**v
-        return out
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+__all__ = ["is_prime", "factorize", "divisors"]
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -218,14 +192,14 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime-power factorization of n >= 1; factorize(1) is empty."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, v) with p**v || n >= 1, primes ascending; factorize(1) is ()."""
     if n == 0:
         raise ValueError("0 has no prime factorization")
     if n < 0:
         raise ValueError("factorize requires a positive integer")
     ensure_u128(n, "n")
-    return Factorization(_factor_pairs(n))
+    return _factor_pairs(n)
 
 
 def divisors(n: int) -> list[int]:

@@ -204,6 +204,12 @@ def test_criterion_8_cli_golden_files(capsys):
     cases = [
         (["verify", "--m", "12..12", "--s", "1..1", "--k", "1"], "verify_m12.txt"),
         (["table", "--n", "12", "--s", "1", "--k", "1", "--format", "csv"], "table_n12_csv.txt"),
+        (["table", "--n", "12", "--s", "1", "--k", "1", "--format", "json-lines"], "table_n12_jsonl.txt"),
+        (
+            ["table", "--n", "12", "--s", "1", "--k", "1", "--format", "json-lines", "--no-bruteforce"],
+            "table_n12_jsonl_no_bruteforce.txt",
+        ),
+        (["table", "--n", "12", "--s", "1", "--k", "2", "--format", "plain"], "table_n12_k2_plain.txt"),
         (["compute", "cohen-phi", "--m", "4", "--k", "2"], "compute_cohen_phi.txt"),
         (["compute", "d-s", "--m", "12", "--s", "3"], "compute_d_s.txt"),
         (["compute", "menon-lhs", "--m", "12", "--s", "2", "--k", "1"], "compute_menon_lhs.txt"),

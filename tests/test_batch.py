@@ -2,33 +2,33 @@ import pytest
 
 from menonk.arith import cohen_phi, d_s_k, pillai
 from menonk.batch import batch_table, build_sieve
-from menonk.factor import factorize
+from menonk.factor import factorize, is_prime
 from menonk.limits import ResourceLimitError
 from menonk.menon import MenonParams, menon_sum_bruteforce
 
 
 def test_sieve_examples():
     sv = build_sieve(16)
-    assert sv.smallest_prime_factor(12) == 2
-    assert sv.smallest_prime_factor(9) == 3
-    assert sv.smallest_prime_factor(7) == 7
-    assert sv.smallest_prime_factor(15) == 3
-    assert build_sieve(2).smallest_prime_factor(2) == 2
+    assert sv.spf[12] == 2
+    assert sv.spf[9] == 3
+    assert sv.spf[7] == 7
+    assert sv.spf[15] == 3
+    assert build_sieve(2).spf[2] == 2
 
 
 def test_sieve_invariants():
     sv = build_sieve(5000)
     for m in range(2, 5001):
-        p = sv.smallest_prime_factor(m)
+        p = sv.spf[m]
         assert m % p == 0
-        assert sv.is_prime(p)
-        assert (p == m) == sv.is_prime(m)
+        assert is_prime(p)
+        assert (p == m) == is_prime(m)
 
 
 def test_sieve_factorizations_match_factorize():
     sv = build_sieve(2000)
     for m in range(1, 2001):
-        assert sv.factorization(m).pairs == factorize(m).pairs, m
+        assert sv.factorization(m) == factorize(m), m
 
 
 def test_sieve_errors():
@@ -95,14 +95,6 @@ def test_batch_bruteforce_cap():
         batch_table(2**13, 1, 2, with_bruteforce=True, max_iterations=10**40)
     # closed forms alone are not capped
     assert len(list(batch_table(100, 1, 1, max_iterations=50))) == 100
-
-
-def test_batch_with_shared_sieve():
-    sv = build_sieve(200)
-    rows = list(batch_table(100, 7, 1, sieve=sv))
-    assert len(rows) == 100
-    with pytest.raises(ValueError):
-        list(batch_table(300, 7, 1, sieve=sv))
 
 
 def test_batch_domain_errors():

@@ -229,6 +229,19 @@ def test_table_errors(capsys):
     assert code == EXIT_LIMIT
 
 
+def test_table_overflow_after_streamed_rows():
+    # P_16(216) is the first value past 2^128: the 215 rows before it are already out.
+    proc = run_module(
+        "table", "--n", "255", "--s", "1", "--k", "16", "--no-bruteforce", "--format", "csv",
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_LIMIT
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "m,phi_k,d_s_k,pillai_k,menon_lhs,menon_rhs,verified"
+    assert len(lines) == 1 + 215 and lines[-1].startswith("215,")
+    assert "P_k" in proc.stderr
+
+
 def test_residues_examples(capsys):
     assert invoke(capsys, "residues", "--m", "12", "--k", "1") == (EXIT_OK, "1 5 7 11\n", "")
     assert invoke(capsys, "residues", "--m", "1", "--k", "2") == (EXIT_OK, "1\n", "")
