@@ -13,12 +13,11 @@ types; everything else is imported from its submodule (``menonk.arith``,
 
 from .arith import cohen_phi, gcd_pow_k, pillai
 from .limits import ResourceLimitError, Uint128OverflowError
-from .menon import MenonParams, menon_closed_form, menon_sum_bruteforce
+from .menon import menon_closed_form, menon_sum_bruteforce
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MenonParams",
     "ResourceLimitError",
     "Uint128OverflowError",
     "cohen_phi",

@@ -40,10 +40,16 @@ from itertools import repeat, starmap
 from typing import Callable, Iterable, Iterator
 
 from .factor import divisors, factorize
-from .limits import bounded_pow, check_classes, checked_mul, checked_pow, ensure_u128
+from .limits import (
+    Uint128OverflowError,
+    bounded_pow,
+    check_classes,
+    checked_mul,
+    checked_pow,
+    ensure_u128,
+)
 
 __all__ = [
-    "gcd",
     "gcd_pow_k",
     "largest_kth_power_divisor",
     "kth_gcd_classes",
@@ -60,15 +66,6 @@ __all__ = [
     "d_s_k_rule",
     "pillai_rule",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Ordinary gcd, sign-invariant; gcd(0, b) = |b|.  (0, 0) is undefined."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    ensure_u128(abs(a), "|a|")
-    ensure_u128(abs(b), "|b|")
-    return math.gcd(a, b)
 
 
 @lru_cache(maxsize=1 << 20)
@@ -208,13 +205,17 @@ def eval_multiplicative(rule: Rule, pairs: Iterable[tuple[int, int]]) -> int:
 
 # The prime-power rules: the one place each closed form's local factor
 # f(p**v) is written.  Each rule is named after its column, and that
-# name is what eval_multiplicative's overflow message reports.
+# name is what eval_multiplicative's overflow message reports.  phi_k
+# and P_k at p**v are at least p**(v*k) / 2 >= 2**(v*k - 1), so from
+# v*k = 129 on they refuse before building the power.
 
 def cohen_phi_rule(k: int) -> Rule:
     if k < 1:
         raise ValueError("k must be a positive integer")
 
     def phi_k(p: int, v: int) -> int:
+        if v * k > 128:
+            raise Uint128OverflowError(f"phi_k({p}^{v}) is outside [0, 2^128)")
         return p ** (v * k) - p ** ((v - 1) * k)
 
     return phi_k
@@ -236,6 +237,8 @@ def pillai_rule(k: int) -> Rule:
         raise ValueError("k must be a positive integer")
 
     def P_k(p: int, v: int) -> int:
+        if v * k > 128:
+            raise Uint128OverflowError(f"P_k({p}^{v}) is outside [0, 2^128)")
         return (v + 1) * p ** (v * k) - v * p ** ((v - 1) * k)
 
     return P_k

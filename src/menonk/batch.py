@@ -25,7 +25,7 @@ from .limits import (
     checked_pow,
     resolve_max_iterations,
 )
-from .menon import MenonParams, menon_sum_bruteforce
+from .menon import menon_sum_bruteforce
 
 __all__ = ["SpfSieve", "BatchRow", "build_sieve", "batch_table"]
 
@@ -156,6 +156,6 @@ def _rows(
         lhs = None
         verified = None
         if with_bruteforce:
-            lhs = menon_sum_bruteforce(MenonParams(m, s, k), max_iterations)
+            lhs = menon_sum_bruteforce(m, s, k, max_iterations)
             verified = lhs == rhs
         yield BatchRow(m, phi_k, dsk, pil, lhs, rhs, verified)

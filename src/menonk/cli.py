@@ -8,7 +8,9 @@ byte-deterministic for fixed inputs and format.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -37,14 +39,8 @@ _COMPUTE_FUNCTIONS = {
     "d-s": (("m", "s"), lambda m, s, k, cap: arith.d_s(m, s)),
     "d-s-k": (("m", "s", "k"), lambda m, s, k, cap: arith.d_s_k(m, s, k)),
     "pillai": (("m", "k"), lambda m, s, k, cap: arith.pillai(m, k)),
-    "menon-lhs": (
-        ("m", "s", "k"),
-        lambda m, s, k, cap: menon.menon_sum_bruteforce(menon.MenonParams(m, s, k), cap),
-    ),
-    "menon-rhs": (
-        ("m", "s", "k"),
-        lambda m, s, k, cap: menon.menon_closed_form(menon.MenonParams(m, s, k)),
-    ),
+    "menon-lhs": (("m", "s", "k"), lambda m, s, k, cap: menon.menon_sum_bruteforce(m, s, k, cap)),
+    "menon-rhs": (("m", "s", "k"), lambda m, s, k, cap: menon.menon_closed_form(m, s, k)),
 }
 
 
@@ -143,7 +139,7 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
         skipped += (len(ms) - over) * len(ss)
         for m in ms[:over]:
             for s, lhs in zip(ss, menon.menon_sums(m, k, ss, cap)):
-                rhs = menon.menon_closed_form(menon.MenonParams(m, s, k))
+                rhs = menon.menon_closed_form(m, s, k)
                 checked += 1
                 if lhs == rhs:
                     passed += 1
@@ -207,12 +203,19 @@ def cmd_table(ctx, n: int, s: int, k: int, fmt: str, with_bruteforce: bool, out:
         for line in lines:
             click.echo(line)
     else:
+        # A refused row must not leave a shorter table that looks whole, nor
+        # clobber an existing file: write beside it and move it into place.
+        tmp = f"{out}.{os.getpid()}.tmp"
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(tmp, "w", encoding="utf-8") as handle:
                 for line in lines:
                     handle.write(line + "\n")
+            os.replace(tmp, out)
         except OSError as exc:
             raise click.ClickException(f"cannot write {out}: {exc}") from exc
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 @cli.command("residues")

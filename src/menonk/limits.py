@@ -37,10 +37,15 @@ class ResourceLimitError(RuntimeError):
     """Refused: the call would exceed an iteration or memory budget."""
 
 
+def _show(value: int) -> str:
+    """value in decimal, or only its bit length past 1024 bits (str() refuses past 4300 digits)."""
+    return str(value) if value.bit_length() <= 1024 else f"<{value.bit_length()}-bit integer>"
+
+
 def ensure_u128(value: int, what: str = "value") -> int:
     """Return ``value`` unchanged, or raise if it lies outside [0, 2^128)."""
     if value < 0 or value > U128_MAX:
-        raise Uint128OverflowError(f"{what} = {value} is outside [0, 2^128)")
+        raise Uint128OverflowError(f"{what} = {_show(value)} is outside [0, 2^128)")
     return value
 
 
@@ -50,7 +55,7 @@ def checked_pow(base: int, exp: int, what: str = "power") -> int:
         raise ValueError("checked_pow requires nonnegative base and exponent")
     value = bounded_pow(base, exp, U128_MAX)
     if value is None:
-        raise Uint128OverflowError(f"{what} = {base}^{exp} is outside [0, 2^128)")
+        raise Uint128OverflowError(f"{what} = {_show(base)}^{_show(exp)} is outside [0, 2^128)")
     return value
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "ResidueSet",
     "standard_residue_set",
     "crt_combine",
-    "is_kth_power_coprime",
 ]
 
 
@@ -110,10 +109,3 @@ def crt_combine(a1: ResidueSet, a2: ResidueSet) -> ResidueSet:
         for x2 in a2.elements
     )
     return ResidueSet(a1.m * a2.m, k, tuple(combined))
-
-
-def is_kth_power_coprime(a: int, m: int, k: int) -> bool:
-    """True iff (a, m**k)_k = 1, i.e. no prime p has p**k dividing both."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    return gcd_pow_k(a, checked_pow(m, k, "m^k"), k) == 1

@@ -23,10 +23,8 @@ from menonk.cli import run
 from menonk.factor import factorize, is_prime
 from menonk.limits import DEFAULT_MAX_ITERATIONS
 from menonk.menon import (
-    MenonParams,
     menon_closed_form,
     menon_sum_bruteforce,
-    verify_identity,
     verify_menon_multiplicativity,
     verify_unit_translation,
 )
@@ -43,16 +41,16 @@ def check(label: str, ok: bool) -> None:
 def test_criterion_1_golden_values():
     """Worked identity instances and single values reproduce exactly."""
     ok = True
-    ok &= menon_sum_bruteforce(MenonParams(12, 1, 1)) == 24
-    ok &= menon_closed_form(MenonParams(12, 1, 1)) == 24 == 6 * 4
+    ok &= menon_sum_bruteforce(12, 1, 1) == 24
+    ok &= menon_closed_form(12, 1, 1) == 24 == 6 * 4
     ok &= divisor_count(12) * euler_phi(12) == 6 * 4
-    ok &= menon_sum_bruteforce(MenonParams(12, 2, 1)) == 8
-    ok &= menon_closed_form(MenonParams(12, 2, 1)) == 8 == 2 * 4
-    ok &= menon_sum_bruteforce(MenonParams(4, 1, 2)) == 36
-    ok &= menon_closed_form(MenonParams(4, 1, 2)) == 36 == 3 * 12
+    ok &= menon_sum_bruteforce(12, 2, 1) == 8
+    ok &= menon_closed_form(12, 2, 1) == 8 == 2 * 4
+    ok &= menon_sum_bruteforce(4, 1, 2) == 36
+    ok &= menon_closed_form(4, 1, 2) == 36 == 3 * 12
     ok &= divisor_count(4) == 3 and cohen_phi(4, 2) == 12
-    ok &= menon_sum_bruteforce(MenonParams(4, 12, 2)) == 12
-    ok &= menon_closed_form(MenonParams(4, 12, 2)) == 12 == 1 * 12
+    ok &= menon_sum_bruteforce(4, 12, 2) == 12
+    ok &= menon_closed_form(4, 12, 2) == 12 == 1 * 12
     ok &= d_s(12, 1) == 6 and d_s(12, 2) == 2 and d_s(12, 3) == 3
     ok &= gcd_pow_k(12, 16, 2) == 4
     ok &= gcd_pow_k(4, 8, 3) == 1 and gcd_pow_k(8, 27, 3) == 1
@@ -63,7 +61,7 @@ def test_criterion_2_prime_family():
     """Menon sum at primes: 2p - 2 for every prime p <= 97."""
     primes = [p for p in range(2, 98) if is_prime(p)]
     assert len(primes) == 25
-    ok = all(menon_sum_bruteforce(MenonParams(p, 1, 1)) == 2 * p - 2 for p in primes)
+    ok = all(menon_sum_bruteforce(p, 1, 1) == 2 * p - 2 for p in primes)
     check("criterion 2: M(p, 1, 1) = 2p-2 for all primes p <= 97", ok)
 
 
@@ -80,10 +78,10 @@ def test_criterion_4_identity_grid():
     for k, m_max in ((1, 300), (2, 60), (3, 15)):
         for m in range(1, m_max + 1):
             for s in range(-25, 26):
-                report = verify_identity(MenonParams(m, s, k))
+                lhs, rhs = menon_sum_bruteforce(m, s, k), menon_closed_form(m, s, k)
                 checked += 1
-                if not report.holds:
-                    failures.append(report)
+                if lhs != rhs:
+                    failures.append((m, s, k, lhs, rhs))
     ok = not failures and checked == (300 + 60 + 15) * 51
     check(f"criterion 4: identity grid, {checked} points, {len(failures)} failures", ok)
 
@@ -150,7 +148,7 @@ def test_criterion_6_structural_lemmas():
         if l == 0 or math.gcd(l, m) != 1:
             continue
         s = rng.randrange(-25, 26)
-        ok &= verify_unit_translation(MenonParams(m, s, k), l)
+        ok &= verify_unit_translation(m, s, k, l)
         done += 1
 
     # CRT composition equals the standard class set: all coprime pairs <= 12

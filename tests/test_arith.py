@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -14,7 +15,6 @@ from menonk.arith import (
     divisor_count,
     euler_phi,
     eval_multiplicative,
-    gcd,
     gcd_pow_k,
     kth_gcd_classes,
     largest_kth_power_divisor,
@@ -28,6 +28,7 @@ from menonk.limits import (
     ResourceLimitError,
     Uint128OverflowError,
     bounded_pow,
+    checked_mul,
     checked_pow,
 )
 
@@ -44,19 +45,6 @@ def kth_power_gcd_direct(a: int, b: int, k: int) -> int:
     return best
 
 
-def test_gcd_examples():
-    assert gcd(0, 12) == 12
-    assert gcd(-1, 12) == 1
-    assert gcd(4, 12) == 4
-    assert gcd(12, 0) == 12
-    assert gcd(-6, -4) == 2
-
-
-def test_gcd_both_zero_rejected():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
-
-
 def test_gcd_pow_k_examples():
     assert gcd_pow_k(4, 8, 3) == 1
     assert gcd_pow_k(8, 27, 3) == 1
@@ -64,6 +52,9 @@ def test_gcd_pow_k_examples():
     assert gcd_pow_k(0, 16, 2) == 16
     assert gcd_pow_k(-12, 16, 2) == 4
     assert gcd_pow_k(7, 1, 4) == 1
+    assert gcd_pow_k(1, 10**12, 2) == 1
+    assert gcd_pow_k(0, 1, 5) == 1
+    assert gcd_pow_k(0, 32, 5) == 32
 
 
 def test_gcd_pow_k_reduces_to_gcd_at_k_one():
@@ -252,6 +243,14 @@ def test_bounded_pow_edges():
     assert bounded_pow(0, 5, 0) == 0
     with pytest.raises(Uint128OverflowError):
         checked_pow(3, 81)
+    # past 4300 digits str(int) refuses; the overflow is still reported as one
+    for huge in (
+        lambda: eval_multiplicative(pillai_rule(10**4), factorize(3)),
+        lambda: checked_mul(10**3000, 10**3000),
+        lambda: checked_pow(10**5000, 2),
+    ):
+        with pytest.raises(Uint128OverflowError):
+            huge()
 
 
 def test_d_s_k_huge_k_decided_without_the_power():
@@ -370,6 +369,15 @@ def test_eval_multiplicative_examples():
     assert eval_multiplicative(d_s_k_rule(12, 2), factorize(4)) == 1
     assert eval_multiplicative(cohen_phi_rule(1), factorize(12)) == 4
     assert eval_multiplicative(d_s_k_rule(1, 1), factorize(1)) == 1
+    # the exact edge: phi_128(2) = 2^128 - 1 is built from 2^128 and stays in the domain
+    assert eval_multiplicative(cohen_phi_rule(128), ((2, 1),)) == 2**128 - 1
+    assert eval_multiplicative(pillai_rule(127), ((2, 1),)) == 2**128 - 1
+    # a local factor past 2^128 is refused before its power is built
+    start = time.perf_counter()
+    for rule in (pillai_rule(10**9), cohen_phi_rule(10**9)):
+        with pytest.raises(Uint128OverflowError):
+            rule(3, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rules_match_direct_functions():

@@ -4,7 +4,7 @@ from menonk.arith import cohen_phi, d_s_k, pillai
 from menonk.batch import batch_table, build_sieve
 from menonk.factor import factorize, is_prime
 from menonk.limits import ResourceLimitError
-from menonk.menon import MenonParams, menon_sum_bruteforce
+from menonk.menon import menon_sum_bruteforce
 
 
 def test_sieve_examples():
@@ -51,7 +51,7 @@ def test_batch_rows_match_arith():
         assert r.d_s_k == d_s_k(r.m, -18, 2)
         assert r.pillai_k == pillai(r.m, 2)
         assert r.menon_rhs == r.d_s_k * r.phi_k
-        assert r.menon_lhs == menon_sum_bruteforce(MenonParams(r.m, -18, 2))
+        assert r.menon_lhs == menon_sum_bruteforce(r.m, -18, 2)
         assert r.verified is True
 
 

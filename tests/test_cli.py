@@ -151,7 +151,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
         return iter([1] * len(shifts))
 
     monkeypatch.setattr(cli.menon, "menon_sums", fake_sums)
-    monkeypatch.setattr(cli.menon, "menon_closed_form", lambda params: 2)
+    monkeypatch.setattr(cli.menon, "menon_closed_form", lambda m, s, k: 2)
     code, out, _ = invoke(capsys, "verify", "--m", "12..12", "--s", "1..1", "--k", "1")
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL m=12 s=1 k=1: lhs=1 rhs=2" in out
@@ -229,17 +229,23 @@ def test_table_errors(capsys):
     assert code == EXIT_LIMIT
 
 
-def test_table_overflow_after_streamed_rows():
+def test_table_overflow_after_streamed_rows(tmp_path):
     # P_16(216) is the first value past 2^128: the 215 rows before it are already out.
-    proc = run_module(
-        "table", "--n", "255", "--s", "1", "--k", "16", "--no-bruteforce", "--format", "csv",
-        timeout=30,
-    )
+    argv = ("table", "--n", "255", "--s", "1", "--k", "16", "--no-bruteforce", "--format", "csv")
+    proc = run_module(*argv, timeout=30)
     assert proc.returncode == EXIT_LIMIT
     lines = proc.stdout.splitlines()
     assert lines[0] == "m,phi_k,d_s_k,pillai_k,menon_lhs,menon_rhs,verified"
     assert len(lines) == 1 + 215 and lines[-1].startswith("215,")
     assert "P_k" in proc.stderr
+    # --out leaves no partial table, and an existing file keeps its bytes
+    target = tmp_path / "table.csv"
+    proc = run_module(*argv, "--out", str(target), timeout=30)
+    assert proc.returncode == EXIT_LIMIT and not target.exists()
+    target.write_bytes(b"kept\n")
+    proc = run_module(*argv, "--out", str(target), timeout=30)
+    assert proc.returncode == EXIT_LIMIT and target.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_residues_examples(capsys):

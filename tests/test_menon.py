@@ -1,53 +1,44 @@
 import math
 import random
+import time
+from functools import partial
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from menonk.arith import cohen_phi, d_s, divisor_count, euler_phi
-from menonk.limits import ResourceLimitError, Uint128OverflowError
+from menonk.arith import cohen_phi, d_s, d_s_k, divisor_count, euler_phi, gcd_pow_k, pillai
+from menonk.limits import U128_MAX, ResourceLimitError, Uint128OverflowError
 from menonk.menon import (
-    MenonParams,
     menon_closed_form,
     menon_sum_bruteforce,
     menon_sum_over,
     menon_sums,
-    verify_identity,
     verify_menon_multiplicativity,
     verify_prime_power,
-    verify_rao_precondition,
     verify_unit_translation,
 )
 from menonk.residues import standard_residue_set
 
 
-def test_params_validation():
-    MenonParams(1, -10, 3)
-    with pytest.raises(ValueError):
-        MenonParams(0, 1, 1)
-    with pytest.raises(ValueError):
-        MenonParams(4, 1, 0)
-    with pytest.raises(Uint128OverflowError):
-        MenonParams(2**65, 0, 2)
-    assert MenonParams(4, 1, 2).modulus == 16
-
-
 def test_brute_force_worked_sums():
-    assert menon_sum_bruteforce(MenonParams(12, 1, 1)) == 24
-    assert menon_sum_bruteforce(MenonParams(12, 2, 1)) == 8
-    assert menon_sum_bruteforce(MenonParams(4, 1, 2)) == 36
-    assert menon_sum_bruteforce(MenonParams(4, 12, 2)) == 12
+    assert menon_sum_bruteforce(12, 1, 1) == 24
+    assert menon_sum_bruteforce(12, 2, 1) == 8
+    assert menon_sum_bruteforce(4, 1, 2) == 36
+    assert menon_sum_bruteforce(4, 12, 2) == 12
 
 
 def test_brute_force_prime_family():
     for p in (2, 3, 5, 7, 11, 13, 31, 97):
-        assert menon_sum_bruteforce(MenonParams(p, 1, 1)) == 2 * p - 2
+        assert menon_sum_bruteforce(p, 1, 1) == 2 * p - 2
 
 
 def test_closed_form_examples():
-    assert menon_closed_form(MenonParams(12, 1, 1)) == 24
-    assert menon_closed_form(MenonParams(12, 2, 1)) == 8
-    assert menon_closed_form(MenonParams(4, 12, 2)) == 12
-    assert menon_closed_form(MenonParams(4, 1, 2)) == 36
+    assert menon_closed_form(12, 1, 1) == 24
+    assert menon_closed_form(12, 2, 1) == 8
+    assert menon_closed_form(4, 12, 2) == 12
+    assert menon_closed_form(4, 1, 2) == 36
 
 
 def test_closed_form_specializations():
@@ -56,61 +47,47 @@ def test_closed_form_specializations():
     for _ in range(200):
         m = rng.randrange(1, 400)
         s = rng.randrange(-30, 31)
-        assert menon_closed_form(MenonParams(m, s, 1)) == d_s(m, s) * euler_phi(m)
-        assert menon_closed_form(MenonParams(m, 1, 1)) == divisor_count(m) * euler_phi(m)
+        assert menon_closed_form(m, s, 1) == d_s(m, s) * euler_phi(m)
+        assert menon_closed_form(m, 1, 1) == divisor_count(m) * euler_phi(m)
 
 
 def test_s_zero_degenerate_case():
     for m in (1, 2, 6, 12, 36):
         for k in (1, 2):
-            assert menon_sum_bruteforce(MenonParams(m, 0, k)) == cohen_phi(m, k)
-            assert menon_closed_form(MenonParams(m, 0, k)) == cohen_phi(m, k)
+            assert menon_sum_bruteforce(m, 0, k) == cohen_phi(m, k)
+            assert menon_closed_form(m, 0, k) == cohen_phi(m, k)
 
 
 def test_modulus_one():
     for s in (-3, 0, 1, 9):
         for k in (1, 2, 5):
-            report = verify_identity(MenonParams(1, s, k))
-            assert report.holds and report.lhs == report.rhs == 1
-
-
-def test_verify_identity_report_fields():
-    report = verify_identity(MenonParams(12, 1, 1))
-    assert report.lhs == report.rhs == 24
-    assert report.holds is True
-    assert report.holds == (report.lhs == report.rhs)
-    assert report.params == MenonParams(12, 1, 1)
+            assert menon_sum_bruteforce(1, s, k) == menon_closed_form(1, s, k) == 1
 
 
 def test_verify_identity_cap():
     with pytest.raises(ResourceLimitError):
-        verify_identity(MenonParams(11, 8, 8))
+        menon_sum_bruteforce(11, 8, 8)
     with pytest.raises(ResourceLimitError):
-        menon_sum_bruteforce(MenonParams(100, 1, 1), max_iterations=50)
+        menon_sum_bruteforce(100, 1, 1, max_iterations=50)
 
 
 def test_rao_precondition():
-    assert verify_rao_precondition(MenonParams(4, 1, 2)) is True
-    assert verify_rao_precondition(MenonParams(4, 12, 2)) is False
-    assert verify_rao_precondition(MenonParams(9, 0, 1)) is False
-    assert verify_rao_precondition(MenonParams(1, 0, 1)) is True
-    # when it holds, the closed form is d(m)*phi_k(m)
+    # when (s, m**k)_k = 1, the closed form is d(m)*phi_k(m)
     rng = random.Random(51)
     for _ in range(200):
         m = rng.randrange(1, 80)
         s = rng.randrange(-40, 41)
         k = rng.randrange(1, 3)
-        params = MenonParams(m, s, k)
-        if verify_rao_precondition(params):
-            assert menon_closed_form(params) == divisor_count(m) * cohen_phi(m, k)
+        if gcd_pow_k(s, m**k, k) == 1:
+            assert menon_closed_form(m, s, k) == divisor_count(m) * cohen_phi(m, k)
 
 
 def test_unit_translation():
-    assert verify_unit_translation(MenonParams(12, 1, 1), 5)
-    assert verify_unit_translation(MenonParams(12, 1, 1), 1)
-    assert verify_unit_translation(MenonParams(4, 12, 2), 3)
+    assert verify_unit_translation(12, 1, 1, 5)
+    assert verify_unit_translation(12, 1, 1, 1)
+    assert verify_unit_translation(4, 12, 2, 3)
     with pytest.raises(ValueError):
-        verify_unit_translation(MenonParams(12, 1, 1), 4)
+        verify_unit_translation(12, 1, 1, 4)
 
 
 def test_unit_translation_sampled():
@@ -125,7 +102,7 @@ def test_unit_translation_sampled():
         if l == 0 or math.gcd(l, m) != 1:
             continue
         s = rng.randrange(-25, 26)
-        assert verify_unit_translation(MenonParams(m, s, k), l), (m, s, k, l)
+        assert verify_unit_translation(m, s, k, l), (m, s, k, l)
         done += 1
 
 
@@ -145,6 +122,10 @@ def test_prime_power_cases():
         verify_prime_power(6, 2, 1, 1)
     with pytest.raises(ValueError):
         verify_prime_power(5, 0, 1, 1)
+    start = time.perf_counter()
+    with pytest.raises(Uint128OverflowError):
+        verify_prime_power(2, 10**12, 1, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sum_independent_of_residue_representatives():
@@ -153,9 +134,8 @@ def test_sum_independent_of_residue_representatives():
         base = standard_residue_set(m, k)
         mk = base.modulus
         for s in (-7, -1, 0, 1, 2, 25):
-            params = MenonParams(m, s, k)
             shifted = [a + rng.randrange(-5, 6) * mk for a in base.elements]
-            assert menon_sum_over(shifted, params) == menon_sum_bruteforce(params)
+            assert menon_sum_over(shifted, m, s, k) == menon_sum_bruteforce(m, s, k)
 
 
 def test_menon_sums_match_the_per_element_loop():
@@ -164,7 +144,7 @@ def test_menon_sums_match_the_per_element_loop():
             mk = m**k
             shifts = [0, 1, -1, 13, -13, mk, 2 * mk + 3, 2**200, -(2**200)]
             elements = standard_residue_set(m, k).elements
-            expected = [menon_sum_over(elements, MenonParams(m, s, k)) for s in shifts]
+            expected = [menon_sum_over(elements, m, s, k) for s in shifts]
             assert list(menon_sums(m, k, shifts)) == expected, (m, k)
 
 
@@ -177,11 +157,80 @@ def test_menon_sums_checks_before_summing():
         menon_sums(100, 1, [1], max_iterations=50)
 
 
+def test_params_validation():
+    for route in (menon_sum_bruteforce, menon_closed_form, partial(menon_sum_over, [1])):
+        for m, k in ((0, 1), (4, 0)):
+            with pytest.raises(ValueError):
+                route(m, 1, k)
+        with pytest.raises(Uint128OverflowError):
+            route(2**65, 0, 2)
+    with pytest.raises(Uint128OverflowError, match=r"^m\^k = "):
+        menon_closed_form(2**128, 1, 1)  # refused on m**k, before factorize sees m
+    assert menon_sum_bruteforce(1, -10, 3) == menon_closed_form(1, -10, 3) == 1
+
+
 def test_identity_holds_on_sampled_grid():
     rng = random.Random(54)
     for _ in range(300):
         k = rng.choice((1, 2, 3))
         m = rng.randrange(1, {1: 300, 2: 60, 3: 15}[k] + 1)
         s = rng.randrange(-25, 26)
-        report = verify_identity(MenonParams(m, s, k))
-        assert report.holds, (m, s, k, report)
+        assert menon_sum_bruteforce(m, s, k) == menon_closed_form(m, s, k), (m, s, k)
+
+
+@settings(derandomize=True, deadline=2000, max_examples=150)
+@given(
+    m=st.integers(1, 60),
+    s=st.integers(-(2**200), 2**200),
+    k=st.sampled_from((1, 2)),
+)
+@example(m=36, s=0, k=2)
+@example(m=1, s=-(2**200), k=2)
+def test_identity_holds_at_huge_shifts(m, s, k):
+    assert menon_sum_bruteforce(m, s, k) == menon_closed_form(m, s, k)
+
+
+# factorize splits these off in milliseconds and leaves the one large prime
+# whole, so no example waits on rho for a hard composite (rho has no step
+# budget yet; a 32-bit factor next to a large prime alone costs about 0.2 s).
+_SMOOTH_PRIMES = (2, 3, 5, 7, 251, 65521, 1000003)
+_MAX_MODULUS = 2**128 + 2**20
+
+
+@st.composite
+def moduli_up_to_2_128(draw):
+    """m <= 2^128 + 2^20 with at most one prime factor above 2^32."""
+    m = draw(st.one_of(st.just(1), st.integers(2**32, _MAX_MODULUS).map(sympy.prevprime)))
+    for p in draw(st.lists(st.sampled_from(_SMOOTH_PRIMES), max_size=3, unique=True)):
+        q = p ** draw(st.integers(1, 64))
+        if m * q <= _MAX_MODULUS:
+            m *= q
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    m=moduli_up_to_2_128(),
+    s=st.one_of(st.just(0), st.integers(-(2**200), 2**200)),
+    k=st.one_of(st.integers(1, 4), st.integers(1, 10**9)),
+)
+@example(m=1, s=0, k=10**9)
+@example(m=2**128 - 1, s=0, k=1)
+@example(m=2**127 - 1, s=-1, k=1)
+@example(m=2**128, s=1, k=1)
+@example(m=_MAX_MODULUS, s=2**200, k=10**9)
+def test_closed_forms_answer_or_refuse_at_the_domain_edges(m, s, k):
+    for f in (
+        lambda: euler_phi(m),
+        lambda: divisor_count(m),
+        lambda: d_s(m, s),
+        lambda: cohen_phi(m, k),
+        lambda: d_s_k(m, s, k),
+        lambda: pillai(m, k),
+        lambda: menon_closed_form(m, s, k),
+    ):
+        try:
+            value = f()
+        except (ValueError, Uint128OverflowError):
+            continue
+        assert 0 <= value <= U128_MAX

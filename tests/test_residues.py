@@ -9,7 +9,6 @@ from menonk.residues import (
     ResidueSet,
     _standard_elements,
     crt_combine,
-    is_kth_power_coprime,
     standard_residue_set,
 )
 
@@ -102,14 +101,6 @@ def test_crt_combine_domain_errors():
             ResidueSet(2**40, 3, (1,)),  # hand-built; only moduli matter here
             ResidueSet(3**40, 3, (1,)),
         )
-
-
-def test_is_kth_power_coprime_examples():
-    assert is_kth_power_coprime(4, 2, 3)  # (4, 8)_3 = 1
-    assert not is_kth_power_coprime(12, 4, 2)  # (12, 16)_2 = 4
-    assert is_kth_power_coprime(1, 10**6, 2)
-    assert is_kth_power_coprime(0, 1, 5)
-    assert not is_kth_power_coprime(0, 2, 5)
 
 
 def test_membership_stability_under_shifts():
