@@ -27,9 +27,10 @@ the gcd primitive.
 The literal side is one pass: ``kth_gcd_classes(m, k)`` streams
 (x, m**k)_k over the classes x mod m**k, behind the one budget gate
 ``limits.check_classes`` (at most min(cap, 2**25) classes).  The two
-oracles consume it lazily, holding only one k-th power part per divisor
-of m**k; the literal Menon sum (``residues._gcd_table``) keeps it as a
-table so every shift reads the same classes.
+oracles consume it lazily, holding one k-th power part per divisor of
+m**k; ``menon.menon_sums`` keeps it as a table so every shift reads the
+same classes.  This pass and ``pillai``'s divisor sum read only the
+exponents of ``factorize(m)``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from functools import lru_cache
 from itertools import repeat, starmap
 from typing import Callable, Iterable, Iterator
 
-from .factor import divisors, factorize
+from .factor import factorize
 from .limits import (
     Uint128OverflowError,
     bounded_pow,
     check_classes,
-    checked_mul,
     checked_pow,
     ensure_u128,
 )
@@ -53,6 +53,7 @@ __all__ = [
     "gcd_pow_k",
     "largest_kth_power_divisor",
     "kth_gcd_classes",
+    "kth_unit_mask",
     "euler_phi",
     "cohen_phi",
     "cohen_phi_bruteforce",
@@ -68,7 +69,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1 << 20)
+# maxsize=0 keeps no entry (no CLI route reaches it) but keeps
+# cache_info(), which bench/worker.py reads.
+@lru_cache(maxsize=0)
 def largest_kth_power_divisor(n: int, k: int) -> int:
     """The largest t**k (t >= 1) dividing n >= 1."""
     if n < 1:
@@ -104,13 +107,22 @@ def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterat
 
     Arguments and the budget (``limits.check_classes``) are checked here,
     before the iterator is returned.  The gcd of a class with m**k is a
-    divisor of m**k, so the k-th power part is looked up once per divisor.
+    divisor of m**k, so its k-th power part is kept once per divisor,
+    built one prime of m at a time: the part of prod p**e (0 <= e <= v*k)
+    is prod p**(e - e mod k).
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     mk = check_classes(m, k, max_iterations, f"enumerating residues mod {m}^{k}")
-    kth = {g: largest_kth_power_divisor(g, k) for g in divisors(mk)}
+    kth = {1: 1}
+    for p, v in factorize(m):
+        kth = {g * p**e: t * p ** (e - e % k) for g, t in kth.items() for e in range(v * k + 1)}
     return map(kth.__getitem__, map(math.gcd, range(mk), repeat(mk)))
+
+
+def kth_unit_mask(classes: Iterable[int]) -> Iterator[bool]:
+    """Lazily, whether each value of a kth_gcd_classes stream is 1: the reduced classes."""
+    return map((1).__eq__, classes)
 
 
 def euler_phi(m: int) -> int:
@@ -132,7 +144,7 @@ def cohen_phi(m: int, k: int) -> int:
 
 def cohen_phi_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
     """phi_k(m) by literally counting the classes mod m**k with (x, m**k)_k = 1."""
-    return sum(map((1).__eq__, kth_gcd_classes(m, k, max_iterations)))
+    return sum(kth_unit_mask(kth_gcd_classes(m, k, max_iterations)))
 
 
 def divisor_count(m: int) -> int:
@@ -171,18 +183,19 @@ def _kth_power_divides(p: int, k: int, s: int) -> bool:
 def pillai(m: int, k: int) -> int:
     """Gcd-power sum P_k(m) via the divisor sum sum_{d|m} d**k * phi_k(m/d).
 
+    Over d = prod p**e the sum factors, by distributivity, into the
+    product over the (p, v) of factorize(m) of
+    sum_{e=0}^{v} p**(e*k) * phi_k(p**(v-e)): sum v steps, not d(m).
     This route never reads pillai_rule(k), so each checks the other.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     checked_pow(m, k, "m^k")
-    total = 0
-    for d in divisors(m):
-        total = ensure_u128(
-            total + checked_mul(d**k, cohen_phi(m // d, k), "d^k * phi_k(m/d)"),
-            "P_k(m)",
-        )
-    return total
+    phi = cohen_phi_rule(k)
+    pairs = factorize(m)
+    local = (p ** (v * k) + sum(p ** (e * k) * phi(p, v - e) for e in range(v)) for p, v in pairs)
+    # Every local sum is positive, so one check of the product refuses what a check per term would.
+    return ensure_u128(math.prod(local), "P_k(m)")
 
 
 def pillai_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .limits import ensure_u128
 
-__all__ = ["is_prime", "factorize", "divisors"]
+__all__ = ["is_prime", "factorize"]
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -200,17 +200,3 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("factorize requires a positive integer")
     ensure_u128(n, "n")
     return _factor_pairs(n)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, v in factorize(n):
-        pk = 1
-        extended = list(divs)
-        for _ in range(v):
-            pk *= p
-            extended.extend(d * pk for d in divs)
-        divs = extended
-    divs.sort()
-    return divs

@@ -22,10 +22,10 @@ import math
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .arith import cohen_phi, d_s_k, largest_kth_power_divisor
+from .arith import cohen_phi, d_s_k, kth_gcd_classes, kth_unit_mask, largest_kth_power_divisor
 from .factor import is_prime
 from .limits import checked_mul, checked_pow
-from .residues import _gcd_table, standard_residue_set
+from .residues import standard_residue_set
 
 __all__ = [
     "menon_sum_over",
@@ -61,9 +61,11 @@ def menon_sums(
     of the reduced classes are built once, here; each sum is then taken
     lazily.  The term for a is t[(a - s) mod m**k], so M(m, s, k) sums t
     under the mask rotated left by s mod m**k: every element of the
-    standard residue set still contributes its own term.
+    standard residue set still contributes its own term.  The table is
+    refused, before anything is allocated, by kth_gcd_classes' gate.
     """
-    table, mask = _gcd_table(m, k, max_iterations)
+    table = list(kth_gcd_classes(m, k, max_iterations))
+    mask = bytes(kth_unit_mask(table))
     mk = len(table)
     return (sum(compress(table, mask[r:] + mask[:r])) for r in (s % mk for s in shifts))
 

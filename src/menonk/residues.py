@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .arith import cohen_phi, gcd_pow_k, kth_gcd_classes
+from .arith import cohen_phi, gcd_pow_k, kth_gcd_classes, kth_unit_mask
 from .limits import checked_mul, checked_pow
 
 __all__ = [
@@ -64,21 +64,11 @@ class ResidueSet:
             raise ValueError("elements are not pairwise incongruent mod m^k")
 
 
-def _gcd_table(m: int, k: int, max_iterations: int | None) -> tuple[list[int], bytes]:
-    """t[x] = (x, m**k)_k for x in [0, m**k), and the class mask bytes(t[x] == 1).
-
-    The table is arith.kth_gcd_classes held in a list, so it is refused,
-    before anything is allocated, by the same gate as every literal route.
-    """
-    table = list(kth_gcd_classes(m, k, max_iterations))
-    return table, bytes(map((1).__eq__, table))
-
-
 # maxsize=0 keeps no set (nothing asks for the same one twice) but keeps
 # cache_info(), which bench/worker.py reads.
 @lru_cache(maxsize=0)
 def _standard_elements(m: int, k: int, max_iterations: int | None) -> tuple[int, ...]:
-    _, mask = _gcd_table(m, k, max_iterations)
+    mask = bytes(kth_unit_mask(kth_gcd_classes(m, k, max_iterations)))
     # a in [1, m**k] lies in class a mod m**k: classes 1, ..., m**k - 1, then 0.
     return tuple(compress(range(1, len(mask) + 1), mask[1:] + mask[:1]))
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from menonk import factor
 from menonk.arith import (
     cohen_phi,
     cohen_phi_bruteforce,
@@ -216,11 +217,9 @@ def test_d_s_symmetry_and_coprime_collapse():
 
 
 def test_d_s_matches_divisor_filter():
-    from menonk.factor import divisors
-
     for m in range(1, 100):
         for s in (-6, -1, 0, 1, 2, 3, 4, 12):
-            expected = sum(1 for d in divisors(m) if math.gcd(d, s) == 1)
+            expected = sum(1 for d in range(1, m + 1) if m % d == 0 and math.gcd(d, s) == 1)
             assert d_s(m, s) == expected, (m, s)
 
 
@@ -320,6 +319,15 @@ def test_pillai_matches_bruteforce():
             assert pillai(m, k) == pillai_bruteforce(m, k), (m, k)
     for m in range(1, 12):
         assert pillai(m, 3) == pillai_bruteforce(m, 3), m
+
+
+def test_pillai_factorizes_m_once():
+    # 812 divisors and a cofactor above the trial bound: factoring each m/d is slow.
+    m = 3**28 * 5**6 * 251 * 12330546079
+    factor._factor_pairs.cache_clear()
+    value = pillai(m, 1)
+    assert factor._factor_pairs.cache_info().misses == 1
+    assert value == eval_multiplicative(pillai_rule(1), factorize(m))
 
 
 def test_pillai_bruteforce_examples():

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from menonk import arith, cli, residues
+from menonk import arith, cli, factor, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,12 +121,14 @@ def test_verify_counts_skipped_moduli_without_walking_them():
 def test_verify_builds_each_table_once(capsys):
     residues._standard_elements.cache_clear()
     arith.largest_kth_power_divisor.cache_clear()
+    factor._factor_pairs.cache_clear()
     code, out, _ = invoke(capsys, "verify", "--m", "1..30", "--s", "-2..2", "--k", "1,2")
     assert code == EXIT_OK and out == "checked=300 passed=300 failed=0 skipped=0\n"
     assert residues._standard_elements.cache_info().currsize == 0
+    # One factorization per modulus serves both routes and every k; no divisor is factored.
+    assert factor._factor_pairs.cache_info().misses <= 30
     info = arith.largest_kth_power_divisor.cache_info()
-    tables = sum(arith.divisor_count(m**k) for m in range(1, 31) for k in (1, 2))
-    assert info.hits + info.misses <= tables
+    assert info.hits + info.misses == 0
 
 
 def test_verify_usage_errors(capsys):
@@ -293,6 +295,14 @@ def test_compute_d_s_k_huge_k():
     proc = run_module("compute", "d-s-k", "--m", "3", "--s", "1", "--k", "100000000", timeout=10)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "2\n"
+
+
+def test_pillai_sums_over_millions_of_divisors_at_once():
+    # 2^10 3^6 5^4 7^3 11^2 13^2 17 ... 53: 14,192,640 divisors, summed prime by prime.
+    m = 3551333934609277846516206720000
+    proc = run_module("compute", "pillai", "--m", str(m), "--k", "1", timeout=10)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == f"{arith.eval_multiplicative(arith.pillai_rule(1), factor.factorize(m))}\n"
 
 
 def test_table_bound_holds_whatever_the_cap():

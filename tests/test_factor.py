@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from menonk.factor import divisors, factorize, is_prime
+from menonk.factor import factorize, is_prime
 from menonk.limits import U128_MAX, Uint128OverflowError
 
 
@@ -93,22 +93,3 @@ def test_factorize_domain_errors():
         factorize(-12)
     with pytest.raises(Uint128OverflowError):
         factorize(U128_MAX + 2)
-
-
-def test_divisors_examples():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
-    assert divisors(97) == [1, 97]
-
-
-def test_divisors_count_matches_exponent_product():
-    rng = random.Random(77)
-    for _ in range(100):
-        n = rng.randrange(1, 10**6)
-        divs = divisors(n)
-        assert divs == sorted(set(divs))
-        assert all(n % d == 0 for d in divs)
-        expected = 1
-        for _, v in factorize(n):
-            expected *= v + 1
-        assert len(divs) == expected
