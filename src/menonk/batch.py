@@ -45,10 +45,6 @@ class SpfSieve:
         """factorize(m) for 1 <= m <= limit, by repeated spf division."""
         if m < 1 or m > self.limit:
             raise ValueError(f"m = {m} outside sieve range [1, {self.limit}]")
-        return tuple(self._pairs(m))
-
-    def _pairs(self, m: int) -> list[tuple[int, int]]:
-        """The (p, v) with p**v || m, primes ascending; unchecked, [] for m = 1."""
         spf = self.spf
         pairs = []
         while m > 1:
@@ -58,7 +54,7 @@ class SpfSieve:
                 m //= p
                 v += 1
             pairs.append((p, v))
-        return pairs
+        return tuple(pairs)
 
 
 def build_sieve(limit: int) -> SpfSieve:
@@ -147,7 +143,7 @@ def _rows(
 ) -> Iterator[BatchRow]:
     phi_rule, dsk_rule, pil_rule = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     for m in range(1, n + 1):
-        pairs = sieve._pairs(m)
+        pairs = sieve.factorization(m)
         phi_k = eval_multiplicative(phi_rule, pairs)
         dsk = eval_multiplicative(dsk_rule, pairs)
         # P_k >= d_s_k * phi_k at every prime power, so P_k overflows first.

@@ -1,11 +1,11 @@
 """Exact factorization and primality for moduli-scale integers.
 
-The pipeline is deterministic end to end: trial division by 2, 3, 5 and
-a mod-30 wheel up to a fixed bound, a Miller-Rabin pass over a witness
-set proven complete below 3.317e24, a strong Lucas test for anything
-larger (no counterexample to the combined test is known anywhere, let
-alone below 2^128), and a Brent-cycle rho splitter driven by a
-fixed-seed generator so repeated calls factor identically.
+The pipeline is deterministic end to end: trial division by the primes
+up to a fixed bound (the same table screens ``is_prime``), Miller-Rabin
+over a witness set proven complete below 3.317e24, a strong Lucas test
+for anything larger (no counterexample to the combined test is known
+anywhere, let alone below 2^128), and a Brent-cycle rho splitter driven
+by a fixed-seed generator so repeated calls factor identically.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-_SMALL_PRIMES = _sieve_primes(1000)
-
-# Gaps between consecutive integers coprime to 30, starting from 7.
-_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
 _TRIAL_BOUND = 10_000
+_SMALL_PRIMES = _sieve_primes(_TRIAL_BOUND)
 
 # Strong-pseudoprime witness set proven complete below this bound.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -149,7 +146,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -157,38 +154,31 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
-
-
-def _split(n: int, counts: dict[int, int], rng: random.Random) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
-        return
-    d = _brent_rho(n, rng)
-    _split(d, counts, rng)
-    _split(n // d, counts, rng)
 
 
 @lru_cache(maxsize=1 << 16)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    c, i = 7, 0
-    while c <= _TRIAL_BOUND and c * c <= n:
-        while n % c == 0:
-            counts[c] = counts.get(c, 0) + 1
-            n //= c
-        c += _WHEEL_GAPS[i]
-        i = (i + 1) & 7
     if n > 1:
-        _split(n, counts, random.Random(_RHO_SEED))
+        # Popping rho's d first draws the seeded rng in a fixed, depth-first order.
+        rng = random.Random(_RHO_SEED)
+        work = [n]
+        while work:
+            n = work.pop()
+            if is_prime(n):
+                counts[n] = counts.get(n, 0) + 1
+            else:
+                d = _brent_rho(n, rng)
+                work += (n // d, d)
     return tuple(sorted(counts.items()))
 
 

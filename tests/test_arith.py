@@ -32,6 +32,7 @@ from menonk.limits import (
     checked_mul,
     checked_pow,
 )
+from menonk.menon import verify_menon_multiplicativity
 
 
 def kth_power_gcd_direct(a: int, b: int, k: int) -> int:
@@ -287,6 +288,24 @@ def test_closed_form_domain_errors():
     for f in (cohen_phi, closed_forms["d_s_k"], pillai):
         with pytest.raises(ValueError):
             f(5, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: largest_kth_power_divisor(0, 2), id="kth_divisor_n0"),
+        pytest.param(lambda: largest_kth_power_divisor(4, 0), id="kth_divisor_k0"),
+        pytest.param(lambda: cohen_phi_rule(0), id="cohen_phi_rule_k0"),
+        pytest.param(lambda: d_s_k_rule(1, 0), id="d_s_k_rule_k0"),
+        pytest.param(lambda: pillai_rule(0), id="pillai_rule_k0"),
+        pytest.param(lambda: checked_pow(-2, 3), id="checked_pow_negative_base"),
+        pytest.param(lambda: cohen_phi_bruteforce(4, 1, max_iterations=0), id="bruteforce_cap0"),
+        pytest.param(lambda: verify_menon_multiplicativity(0, 1, 0, 1), id="multiplicativity_m0"),
+    ],
+)
+def test_library_refusals(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_d_s_k_reduces_to_d_s():

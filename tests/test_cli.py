@@ -231,6 +231,29 @@ def test_table_errors(capsys):
     assert code == EXIT_LIMIT
 
 
+def test_usage_refusals(capsys, monkeypatch):
+    code, _, err = invoke(capsys, "--max-iterations", "0", "compute", "phi", "--m", "4")
+    assert code == EXIT_USAGE and "--max-iterations" in err
+    monkeypatch.setenv("MENONK_MAX_ITERATIONS", "0")
+    code, _, err = invoke(capsys, "compute", "phi", "--m", "4")
+    assert code == EXIT_USAGE and "--max-iterations" in err
+    monkeypatch.delenv("MENONK_MAX_ITERATIONS")
+    code, _, err = invoke(capsys, "verify", "--m", "a..3", "--s", "0..0", "--k", "1")
+    assert code == EXIT_USAGE and "--m bounds must be integers" in err
+    code, _, err = invoke(capsys, "residues", "--m", "0", "--k", "1")
+    assert code == EXIT_USAGE and "--m and --k" in err
+
+
+def test_table_out_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = invoke(
+        capsys, "table", "--n", "3", "--s", "1", "--k", "1", "--out", str(target)
+    )
+    assert code == EXIT_USAGE and out == "" and "cannot write" in err
+    # no *.tmp is left and no directory is created
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_overflow_after_streamed_rows(tmp_path):
     # P_16(216) is the first value past 2^128: the 215 rows before it are already out.
     argv = ("table", "--n", "255", "--s", "1", "--k", "16", "--no-bruteforce", "--format", "csv")

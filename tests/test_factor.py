@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from menonk.factor import factorize, is_prime
+from menonk.factor import _MR_BASES, _MR_PROVEN_BOUND, _strong_probable_prime, factorize, is_prime
 from menonk.limits import U128_MAX, Uint128OverflowError
 
 
@@ -49,6 +49,15 @@ def test_is_prime_large_anchors():
     assert not is_prime((2**61 - 1) ** 2)
 
 
+def test_is_prime_strong_lucas_rejects_psi13():
+    # psi_13 = 1287836182261 * 2575672364521 is the least strong pseudoprime to
+    # every base in _MR_BASES, and the bound itself: only the Lucas stage refuses it.
+    n = 3317044064679887385961981
+    assert n == 1287836182261 * 2575672364521 == _MR_PROVEN_BOUND
+    assert all(_strong_probable_prime(n, b) for b in _MR_BASES)
+    assert is_prime(n) is False
+
+
 def test_is_prime_matches_sympy_sampled():
     rng = random.Random(555)
     for bits in (50, 80, 110, 127):
@@ -79,6 +88,22 @@ def test_factorize_invariants_sampled():
         assert all(is_prime(p) for p in primes)
         assert all(v >= 1 for _, v in fac)
         assert math.prod(p**v for p, v in fac) == n
+
+
+def test_factorize_at_the_trial_bound():
+    # 9973 is the last prime trial division reaches; 10007 the first that rho must split off.
+    for n in (
+        9973**2,
+        9973 * 10007,
+        10007**2,
+        10007**4,
+        10007**3 * (2**61 - 1),
+        2**7 * 9973**3 * 10007**2,
+        97 * 101,
+        101**2,
+        (2**31 - 1) ** 2 * 10007,
+    ):
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
 
 
 def test_factorize_deterministic():

@@ -1,8 +1,9 @@
 """Import hygiene of the package sources, checked with ``ast`` (no linter is required).
 
 Every imported name must be used in its module (a package ``__init__``
-uses a name by listing it in ``__all__``), and no module imports a
-private ``_name`` from another menonk module.
+uses a name by listing it in ``__all__``), no module imports a
+private ``_name`` from another menonk module, and every private
+module-level name is read somewhere in its own module.
 """
 
 import ast
@@ -44,4 +45,33 @@ def test_imports_are_used_and_public():
                 problems.append(f"{path.name}: {name} is imported but never used")
             if internal and name.startswith("_"):
                 problems.append(f"{path.name}: imports the private {name} from another module")
+    assert problems == []
+
+
+def defined_names(node):
+    """Names a module-level statement binds: a def, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_private_module_names_are_read_in_their_module():
+    # A read inside the name's own definition (a recursive call) does not count.
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            names = defined_names(stmt)
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            if not private:
+                continue
+            read = {
+                node.id
+                for other in tree.body
+                if other is not stmt
+                for node in ast.walk(other)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            problems += [f"{path.name}: {n} is never read" for n in private if n not in read]
     assert problems == []
