@@ -1,8 +1,9 @@
 """Bulk tabulation over m in [1, N] backed by a smallest-prime-factor sieve.
 
-The sieve is linear (every composite is struck exactly once, by its
-smallest prime factor), so construction is O(N) and the factorization
-of any m <= N falls out by repeated spf division with no trial division
+The sieve is ``factor.smallest_prime_factors``, the one sieve in the
+package: fewer than N ln(N) / 2 array writes, all by C-level slice
+assignments rather than a Python loop per entry.  The factorization of
+any m <= N falls out by repeated spf division with no trial division
 per row.  Each column is arith.eval_multiplicative of its prime-power
 rule over the row's (p, v) pairs, so the table and the scalar functions
 share one product and one definition per closed form.  The Pillai
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, pillai_rule
+from .factor import smallest_prime_factors
 from .limits import (
     ResourceLimitError,
     check_classes,
@@ -29,8 +31,8 @@ from .menon import menon_sum_bruteforce
 
 __all__ = ["SpfSieve", "BatchRow", "build_sieve", "batch_table"]
 
-# Pure-Python linear sieving tops out around here before both time and
-# the 4-byte-per-entry table become unreasonable at desk scale.
+# The 4-byte-per-entry table (200 MB here, plus a 100 MB stroke for d = 2
+# while it is built) becomes unreasonable at desk scale past this.
 _MAX_SIEVE_LIMIT = 50_000_000
 
 
@@ -58,25 +60,14 @@ class SpfSieve:
 
 
 def build_sieve(limit: int) -> SpfSieve:
-    """Linear smallest-prime-factor sieve up to ``limit`` (>= 2)."""
+    """The smallest-prime-factor sieve up to ``limit`` (>= 2)."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
     if limit > _MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds the memory budget ({_MAX_SIEVE_LIMIT})"
         )
-    spf = array("I", [0]) * (limit + 1)
-    primes = []
-    for i in range(2, limit + 1):
-        si = spf[i]
-        if si == 0:
-            spf[i] = si = i
-            primes.append(i)
-        for p in primes:
-            if p > si or i * p > limit:
-                break
-            spf[i * p] = p
-    return SpfSieve(limit, spf)
+    return SpfSieve(limit, smallest_prime_factors(limit))
 
 
 class BatchRow(NamedTuple):

@@ -1,35 +1,43 @@
 """Exact factorization and primality for moduli-scale integers.
 
 The pipeline is deterministic end to end: trial division by the primes
-up to a fixed bound (the same table screens ``is_prime``), Miller-Rabin
-over a witness set proven complete below 3.317e24, a strong Lucas test
-for anything larger (no counterexample to the combined test is known
-anywhere, let alone below 2^128), and a Brent-cycle rho splitter driven
-by a fixed-seed generator so repeated calls factor identically.
+up to a fixed bound, read off ``smallest_prime_factors`` (the one sieve,
+which ``batch`` also tabulates with; the same primes screen
+``is_prime``), Miller-Rabin over a witness set proven complete below
+3.317e24, a strong Lucas test for anything larger (no counterexample to
+the combined test is known anywhere, let alone below 2^128), and a
+Brent-cycle rho splitter driven by a fixed-seed generator so repeated
+calls factor identically.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from functools import lru_cache
 
 from .limits import ensure_u128
 
-__all__ = ["is_prime", "factorize"]
+__all__ = ["is_prime", "factorize", "smallest_prime_factors"]
 
 
-def _sieve_primes(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return tuple(i for i, f in enumerate(flags) if f)
+def smallest_prime_factors(limit: int) -> array:
+    """spf with spf[j] the smallest prime factor of j, for 2 <= j <= limit (spf[0:2] = 0, 1).
+
+    Each d <= isqrt(limit), in descending order, strikes d over the
+    multiples j >= d*d.  The last stroke on a composite j therefore comes
+    from the least d with d | j and d*d <= j, which is j's smallest prime;
+    strokes from composite d are overwritten, so no prime list is needed.
+    """
+    spf = array("I", range(limit + 1))
+    for d in range(math.isqrt(limit), 1, -1):
+        spf[d * d :: d] = array("I", [d]) * len(range(d * d, limit + 1, d))
+    return spf
 
 
 _TRIAL_BOUND = 10_000
-_SMALL_PRIMES = _sieve_primes(_TRIAL_BOUND)
+_SMALL_PRIMES = tuple(p for p, q in enumerate(smallest_prime_factors(_TRIAL_BOUND)) if p == q > 1)
 
 # Strong-pseudoprime witness set proven complete below this bound.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -86,11 +86,6 @@ def resolve_max_iterations(max_iterations: int | None) -> int:
     return max_iterations
 
 
-def classes_bound(max_iterations: int | None) -> int:
-    """Most classes mod m**k a literal route may visit: min(cap, MAX_TABLE_CLASSES)."""
-    return min(resolve_max_iterations(max_iterations), MAX_TABLE_CLASSES)
-
-
 def check_classes(m: int, k: int, max_iterations: int | None, what: str) -> int:
     """m**k, once it is known to fit the domain, the cap and MAX_TABLE_CLASSES.
 

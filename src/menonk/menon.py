@@ -22,7 +22,7 @@ import math
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .arith import cohen_phi, d_s_k, kth_gcd_classes, kth_unit_mask, largest_kth_power_divisor
+from .arith import cohen_phi, d_s_k, gcd_pow_k, kth_gcd_classes, kth_unit_mask
 from .factor import is_prime
 from .limits import checked_mul, checked_pow
 from .residues import standard_residue_set
@@ -48,8 +48,8 @@ def menon_sum_over(elements: Iterable[int], m: int, s: int, k: int) -> int:
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     mk = checked_pow(m, k, "m^k")
-    _gcd, _kth = math.gcd, largest_kth_power_divisor
-    return sum(_kth(_gcd(a - s, mk), k) for a in elements)
+    # Reducing mod m**k keeps a huge |a - s| inside gcd_pow_k's domain, with the same value.
+    return sum(gcd_pow_k((a - s) % mk, mk, k) for a in elements)
 
 
 def menon_sums(

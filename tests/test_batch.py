@@ -14,6 +14,10 @@ def test_sieve_examples():
     assert sv.spf[7] == 7
     assert sv.spf[15] == 3
     assert build_sieve(2).spf[2] == 2
+    # Every limit around the slice ends d*d = limit and limit +- 1, against trial division.
+    reference = [next(q for q in range(2, j + 1) if j % q == 0) for j in range(2, 301)]
+    for limit in range(2, 301):
+        assert list(build_sieve(limit).spf[2:]) == reference[: limit - 1], limit
 
 
 def test_sieve_invariants():
@@ -21,6 +25,7 @@ def test_sieve_invariants():
     for m in range(2, 5001):
         p = sv.spf[m]
         assert m % p == 0
+        assert all(m % q for q in range(2, p))  # so no smaller prime divides m
         assert is_prime(p)
         assert (p == m) == is_prime(m)
 

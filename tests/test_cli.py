@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from menonk import arith, cli, factor, residues
@@ -129,6 +130,16 @@ def test_verify_builds_each_table_once(capsys):
     assert factor._factor_pairs.cache_info().misses <= 30
     info = arith.largest_kth_power_divisor.cache_info()
     assert info.hits + info.misses == 0
+    # A modulus' table is freed before the next one is built: two moduli peak about as one.
+    peaks = []
+    for m_range in ("300..300", "299..300"):
+        tracemalloc.start()
+        try:
+            assert invoke(capsys, "verify", "--m", m_range, "--s", "0..0", "--k", "2")[0] == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_verify_usage_errors(capsys):

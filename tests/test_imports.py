@@ -2,8 +2,9 @@
 
 Every imported name must be used in its module (a package ``__init__``
 uses a name by listing it in ``__all__``), no module imports a
-private ``_name`` from another menonk module, and every private
-module-level name is read somewhere in its own module.
+private ``_name`` from another menonk module, every private
+module-level name is read somewhere in its own module, and every name
+in a module's ``__all__`` is bound at its top level.
 """
 
 import ast
@@ -25,14 +26,18 @@ def imported_names(tree):
                 yield alias.asname or alias.name, alias.name, internal
 
 
-def used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree):
+    """The strings listed in the module's ``__all__``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
-    return used
+            yield from (elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+
+
+def used_names(tree):
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | set(exported_names(tree))
 
 
 def test_imports_are_used_and_public():
@@ -74,4 +79,21 @@ def test_private_module_names_are_read_in_their_module():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             }
             problems += [f"{path.name}: {n} is never read" for n in private if n not in read]
+    assert problems == []
+
+
+def test_all_names_are_bound_in_their_module():
+    # A stale __all__ entry makes ``from menonk.x import *`` raise AttributeError.
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {name for stmt in tree.body for name in defined_names(stmt)}
+        bound.update(
+            alias.asname or alias.name.split(".")[0]
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            for alias in stmt.names
+        )
+        unbound = [n for n in exported_names(tree) if n not in bound]
+        problems += [f"{path.name}: __all__ lists the unbound {n}" for n in unbound]
     assert problems == []
