@@ -8,7 +8,6 @@ byte-deterministic for fixed inputs and format.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -147,25 +146,24 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
         ctx.exit(EXIT_VERIFY_FAILED)
 
 
-def _format_cell(value, absent: str) -> str:
-    if value is None:
-        return absent
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
+    """Yield the table's lines, each ending in a newline.
+
+    A present cell is spelled as JSON spells it: ``str(v).lower()``, so
+    ints in decimal and bools as true/false.  An absent cell (brute force
+    off) is "" in csv and "-" in plain; json-lines leaves its key out.
+    """
     columns = batch.BatchRow._fields
     if fmt == "json-lines":
-        encode = json.JSONEncoder(separators=(",", ":")).encode
+        keys = [f'"{c}":' for c in columns]
         for r in rows:
-            yield encode({c: v for c, v in zip(columns, r) if v is not None})
+            cells = [key + str(v).lower() for key, v in zip(keys, r) if v is not None]
+            yield "{" + ",".join(cells) + "}\n"
         return
     sep, absent = (",", "") if fmt == "csv" else (" ", "-")
-    yield sep.join(columns)
+    yield sep.join(columns) + "\n"
     for r in rows:
-        yield sep.join(_format_cell(v, absent) for v in r)
+        yield sep.join([absent if v is None else str(v).lower() for v in r]) + "\n"
 
 
 @cli.command("table")
@@ -194,16 +192,14 @@ def cmd_table(ctx, n: int, s: int, k: int, fmt: str, with_bruteforce: bool, out:
     rows = batch.batch_table(n, s, k, with_bruteforce, ctx.obj["max_iterations"])
     lines = _render_rows(rows, fmt)
     if out is None:
-        for line in lines:
-            click.echo(line)
+        sys.stdout.writelines(lines)
     else:
         # A refused row must not leave a shorter table that looks whole, nor
         # clobber an existing file: write beside it and move it into place.
         tmp = f"{out}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
+                handle.writelines(lines)
             os.replace(tmp, out)
         except OSError as exc:
             raise click.ClickException(f"cannot write {out}: {exc}") from exc

@@ -40,9 +40,6 @@ class ResidueSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def classes(self) -> frozenset[int]:
         """The residue classes mod m**k, as canonical representatives in [0, m**k)."""
         mk = self.modulus

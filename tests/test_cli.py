@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from menonk import arith, cli, factor, residues
+from menonk import arith, batch, cli, factor, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -204,6 +204,22 @@ def test_table_json_lines(capsys):
     }
     assert list(row4) == ["m", "phi_k", "d_s_k", "pillai_k", "menon_lhs", "menon_rhs", "verified"]
 
+    # P_16(20) is about 3.9e21, past 2^64, and 2^16 | s fires both d_s_k branches;
+    # the stdlib encoder is an independent reference for every line.
+    code, out, _ = invoke(
+        capsys, "table", "--n", "20", "--s", "65536", "--k", "16",
+        "--no-bruteforce", "--format", "json-lines",
+    )
+    assert code == EXIT_OK
+    expected = [
+        {f: v for f, v in row._asdict().items() if v is not None}
+        for row in batch.batch_table(20, 65536, 16)
+    ]
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records == expected
+    assert [list(r) for r in records] == [list(r) for r in expected]
+    assert max(r["pillai_k"] for r in records) > 2**64
+
 
 def test_table_no_bruteforce_omits_columns(capsys):
     code, out, _ = invoke(
@@ -231,6 +247,27 @@ def test_table_out_file(tmp_path, capsys):
     lines = target.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "m,phi_k,d_s_k,pillai_k,menon_lhs,menon_rhs,verified"
     assert len(lines) == 4
+    # The file carries the same bytes as stdout, in every format, absent cells included.
+    for fmt in ("plain", "csv", "json-lines"):
+        for bruteforce in ("--with-bruteforce", "--no-bruteforce"):
+            argv = ("table", "--n", "6", "--s", "-3", "--k", "2", "--format", fmt, bruteforce)
+            code, out, _ = invoke(capsys, *argv)
+            assert code == EXIT_OK
+            assert invoke(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+            assert target.read_bytes() == out.encode()
+
+
+def test_table_renders_failed_rows(capsys, monkeypatch):
+    # A literal sum of 0 must print as 0 and fail its row, not read as absent.
+    monkeypatch.setattr(batch, "menon_sum_bruteforce", lambda m, s, k, cap: 0)
+    argv = ("table", "--n", "2", "--s", "1", "--k", "1", "--format")
+    code, out, _ = invoke(capsys, *argv, "csv")
+    assert code == EXIT_OK and out.splitlines()[2] == "2,1,2,3,0,2,false"
+    code, out, _ = invoke(capsys, *argv, "plain")
+    assert code == EXIT_OK and out.splitlines()[2] == "2 1 2 3 0 2 false"
+    code, out, _ = invoke(capsys, *argv, "json-lines")
+    record = json.loads(out.splitlines()[1])
+    assert code == EXIT_OK and record["menon_lhs"] == 0 and record["verified"] is False
 
 
 def test_table_errors(capsys):

@@ -3,11 +3,13 @@
 Every imported name must be used in its module (a package ``__init__``
 uses a name by listing it in ``__all__``), no module imports a
 private ``_name`` from another menonk module, every private
-module-level name is read somewhere in its own module, and every name
-in a module's ``__all__`` is bound at its top level.
+module-level name is read somewhere in its own module, every name in a
+module's ``__all__`` is bound at its top level, and no absolute import
+reaches past the standard library, ``click`` and ``menonk`` itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "menonk"
@@ -96,4 +98,21 @@ def test_all_names_are_bound_in_their_module():
         )
         unbound = [n for n in exported_names(tree) if n not in bound]
         problems += [f"{path.name}: __all__ lists the unbound {n}" for n in unbound]
+    assert problems == []
+
+
+def test_click_is_the_only_runtime_dependency():
+    # numpy and sympy serve the tests and the bench; an import of either in src slips past pip.
+    allowed = set(sys.stdlib_module_names) | {"click", "menonk"}
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside = [m for m in modules if m.split(".")[0] not in allowed]
+            problems += [f"{path.name}: imports {m}" for m in outside]
     assert problems == []
