@@ -6,9 +6,9 @@ prime factorizations.  The two routes are kept independent so each one
 checks the other.
 
 The package exports the names the README's examples use and the error
-types; everything else is imported from its submodule (``menonk.arith``,
-``menonk.batch``, ``menonk.factor``, ``menonk.limits``, ``menonk.menon``,
-``menonk.residues``).
+types of ``menonk.limits``; everything else is imported from its
+submodule (``menonk.arith``, ``menonk.batch``, ``menonk.factor``,
+``menonk.limits``, ``menonk.menon``, ``menonk.residues``).
 """
 
 from .arith import cohen_phi, gcd_pow_k, pillai

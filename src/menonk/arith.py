@@ -21,23 +21,34 @@ over (p, v) pairs; the scalar functions feed it ``factorize(m)`` and
 divisor sum, a third route checked against ``pillai_rule``.  Every
 function with a closed form also has a brute-force twin here (suffix
 ``_bruteforce``) that evaluates the defining count or sum literally;
-the twins are each other's oracles and never share a code path beyond
-the gcd primitive.
+the twins are each other's oracles and share nothing but
+``factorize(m)``, which the literal side checks before it reads it.
 
-The literal side is one pass: ``kth_gcd_classes(m, k)`` streams
-(x, m**k)_k over the classes x mod m**k, behind the one budget gate
-``limits.check_classes`` (at most min(cap, 2**25) classes).  The two
-oracles consume it lazily, holding one k-th power part per divisor of
-m**k; ``menon.menon_sums`` keeps it as a table so every shift reads the
-same classes.  This pass and ``pillai``'s divisor sum read only the
-exponents of ``factorize(m)``.
+The literal side is one sieve.  (x, m**k)_k is D**k for the largest
+divisor D of m with D**k | x, so the table over the classes x mod m**k
+is made by slice strokes: for each divisor d of m, in ascending order,
+every class divisible by d**k is set to d**k, and the last stroke on a
+class is its own D.  The reduced classes are those that no p**k with
+p | m divides.  ``kth_gcd_table(m, k)`` builds the whole table and that
+mask at once, for ``menon.menon_sums`` (which reads it for every shift)
+and the standard residue set; ``kth_gcd_classes(m, k)`` streams the
+same table in fixed blocks, for the two oracles.  Both go through the
+one budget gate ``limits.check_classes`` (at most min(cap, 2**25)
+classes) and read nothing of ``factorize(m)`` that they have not
+checked by definition: the (p, v) pairs must multiply to m, and each p
+must be prime by trial division.  A wrong factorization therefore
+raises ``FactorizationError`` instead of agreeing with a wrong closed
+form.  ``pillai``'s divisor sum reads only the exponents of
+``factorize(m)``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import chain, starmap
+from operator import countOf
 from typing import Callable, Iterable, Iterator
 
 from .factor import factorize
@@ -53,7 +64,8 @@ __all__ = [
     "gcd_pow_k",
     "largest_kth_power_divisor",
     "kth_gcd_classes",
-    "kth_unit_mask",
+    "kth_gcd_table",
+    "FactorizationError",
     "euler_phi",
     "cohen_phi",
     "cohen_phi_bruteforce",
@@ -102,27 +114,80 @@ def gcd_pow_k(a: int, b: int, k: int) -> int:
     return largest_kth_power_divisor(math.gcd(a, b), k)
 
 
-def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:
-    """(x, m**k)_k for x = 0, 1, ..., m**k - 1, lazily: the one literal pass.
+class FactorizationError(RuntimeError):
+    """factorize(m) gave pairs that are not the prime factorization of m."""
 
-    Arguments and the budget (``limits.check_classes``) are checked here,
-    before the iterator is returned.  The gcd of a class with m**k is a
-    divisor of m**k, so its k-th power part is kept once per divisor,
-    built one prime of m at a time: the part of prod p**e (0 <= e <= v*k)
-    is prod p**(e - e mod k).
+
+#: Classes per block of the kth_gcd_classes stream: a block's table and
+#: mask take 320 KiB.
+_BLOCK = 1 << 16
+
+
+def _literal_pairs(m: int, k: int, max_iterations: int | None) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """m**k and the (p, v) pairs of m, once the gate passes and the pairs are checked.
+
+    The class gate bounds m by 2**25, so trial division to isqrt(p)
+    takes at most 5793 steps a prime.  Each pair is checked for shape
+    before any power is built, so no answer from factorize can hang it.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     mk = check_classes(m, k, max_iterations, f"enumerating residues mod {m}^{k}")
-    kth = {1: 1}
-    for p, v in factorize(m):
-        kth = {g * p**e: t * p ** (e - e % k) for g, t in kth.items() for e in range(v * k + 1)}
-    return map(kth.__getitem__, map(math.gcd, range(mk), repeat(mk)))
+    pairs = factorize(m)
+    primes = [p for p, _ in pairs]
+    if not (
+        all(2 <= p <= m and 1 <= v <= m.bit_length() for p, v in pairs)
+        and math.prod(p**v for p, v in pairs) == m
+        and len(set(primes)) == len(primes)
+        and all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
+    ):
+        raise FactorizationError(f"factorize({m}) = {pairs!r} is not the prime factorization of {m}")
+    return mk, pairs
 
 
-def kth_unit_mask(classes: Iterable[int]) -> Iterator[bool]:
-    """Lazily, whether each value of a kth_gcd_classes stream is 1: the reduced classes."""
-    return map((1).__eq__, classes)
+def _kth_block(pairs: tuple[tuple[int, int], ...], k: int, offset: int, n: int) -> tuple[array, bytearray]:
+    """(x, m**k)_k and whether it is 1, for the classes x in [offset, offset + n).
+
+    ``pairs`` are the checked (p, v) of m.  Every divisor d of m, in
+    ascending order, strokes d**k over the classes it divides; of the
+    divisors whose k-th power divides x, all divide the largest, so its
+    stroke comes last.  The mask zeroes the classes some p**k divides.
+    """
+    divisors = [1]
+    for p, v in pairs:
+        divisors = [d * p**e for d in divisors for e in range(v + 1)]
+    table = array("I", [1]) * n
+    mask = bytearray([1]) * n
+    for d in sorted(divisors)[1:]:
+        q = d**k
+        st = -offset % q
+        table[st::q] = array("I", [q]) * len(range(st, n, q))
+    for p, _ in pairs:
+        q = p**k
+        st = -offset % q
+        mask[st::q] = bytes(len(range(st, n, q)))
+    return table, mask
+
+
+def kth_gcd_table(m: int, k: int, max_iterations: int | None = None) -> tuple[array, bytearray]:
+    """The table t[x] = (x, m**k)_k over x = 0, ..., m**k - 1, and the mask t[x] == 1.
+
+    Gated by ``limits.check_classes`` and built from checked pairs,
+    before anything is allocated.
+    """
+    mk, pairs = _literal_pairs(m, k, max_iterations)
+    return _kth_block(pairs, k, 0, mk)
+
+
+def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:
+    """(x, m**k)_k for x = 0, 1, ..., m**k - 1, lazily: kth_gcd_table in blocks.
+
+    Arguments, the budget and the pairs are checked here, before the
+    iterator is returned; it then holds one block of _BLOCK classes.
+    """
+    mk, pairs = _literal_pairs(m, k, max_iterations)
+    blocks = (_kth_block(pairs, k, o, min(_BLOCK, mk - o))[0] for o in range(0, mk, _BLOCK))
+    return chain.from_iterable(blocks)
 
 
 def euler_phi(m: int) -> int:
@@ -144,7 +209,7 @@ def cohen_phi(m: int, k: int) -> int:
 
 def cohen_phi_bruteforce(m: int, k: int, max_iterations: int | None = None) -> int:
     """phi_k(m) by literally counting the classes mod m**k with (x, m**k)_k = 1."""
-    return sum(kth_unit_mask(kth_gcd_classes(m, k, max_iterations)))
+    return countOf(kth_gcd_classes(m, k, max_iterations), 1)
 
 
 def divisor_count(m: int) -> int:

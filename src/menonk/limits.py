@@ -21,8 +21,10 @@ U128_MAX = (1 << 128) - 1
 DEFAULT_MAX_ITERATIONS = 10_000_000
 
 #: Most classes mod m**k any literal route may visit, whatever the
-#: iteration cap.  A table costs a list slot and a mask byte, about 9.5
-#: bytes a class, so about 320 MB.
+#: iteration cap.  A table costs an array('I') slot and a mask byte, and
+#: its widest slice stroke a transient one or two bytes more: tracemalloc
+#: peaks at 6.0 bytes a class for m = 2000, k = 2, and at 7.0 for
+#: m = 4 * 10**6, k = 1, so at most about 235 MB.
 MAX_TABLE_CLASSES = 2**25
 
 #: Environment variable the CLI reads as its default --max-iterations.

@@ -22,7 +22,7 @@ import math
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .arith import cohen_phi, d_s_k, gcd_pow_k, kth_gcd_classes, kth_unit_mask
+from .arith import cohen_phi, d_s_k, gcd_pow_k, kth_gcd_table
 from .factor import is_prime
 from .limits import checked_mul, checked_pow
 from .residues import standard_residue_set
@@ -57,15 +57,16 @@ def menon_sums(
 ) -> Iterator[int]:
     """M(m, s, k) for each s in ``shifts``, in order, by direct summation.
 
-    The table t[x] = (x, m**k)_k over the classes x mod m**k and the mask
-    of the reduced classes are built once, here; each sum is then taken
-    lazily.  The term for a is t[(a - s) mod m**k], so M(m, s, k) sums t
-    under the mask rotated left by s mod m**k: every element of the
-    standard residue set still contributes its own term.  The table is
-    refused, before anything is allocated, by kth_gcd_classes' gate.
+    The sieved table t[x] = (x, m**k)_k over the classes x mod m**k and
+    the mask of the reduced classes come once, here, from kth_gcd_table;
+    each sum is then taken lazily.  The term for a is t[(a - s) mod m**k],
+    so M(m, s, k) sums t under the mask rotated left by s mod m**k: every
+    element of the standard residue set still contributes its own term.
+    The table is refused, before anything is allocated, by the class
+    gate, and a factorization of m that fails its check by definition
+    raises FactorizationError here.
     """
-    table = list(kth_gcd_classes(m, k, max_iterations))
-    mask = bytes(kth_unit_mask(table))
+    table, mask = kth_gcd_table(m, k, max_iterations)
     mk = len(table)
     return (sum(compress(table, mask[r:] + mask[:r])) for r in (s % mk for s in shifts))
 

@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
-from menonk import factor
+from menonk import arith, factor
 from menonk.arith import (
+    FactorizationError,
     cohen_phi,
     cohen_phi_bruteforce,
     cohen_phi_rule,
@@ -18,6 +19,7 @@ from menonk.arith import (
     eval_multiplicative,
     gcd_pow_k,
     kth_gcd_classes,
+    kth_gcd_table,
     largest_kth_power_divisor,
     pillai,
     pillai_bruteforce,
@@ -32,7 +34,7 @@ from menonk.limits import (
     checked_mul,
     checked_pow,
 )
-from menonk.menon import verify_menon_multiplicativity
+from menonk.menon import menon_sums, verify_menon_multiplicativity
 
 
 def kth_power_gcd_direct(a: int, b: int, k: int) -> int:
@@ -390,6 +392,53 @@ def test_oracles_stream_the_classes():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (oracle.__name__, peak)
+
+
+def test_kth_gcd_classes_cross_blocks():
+    # 90,000 classes: one full block, then a partial one
+    m, k = 300, 2
+    mk = m**k
+    assert mk > arith._BLOCK and mk % arith._BLOCK
+    classes = list(kth_gcd_classes(m, k))
+    assert len(classes) == mk
+    assert all(classes[x] == gcd_pow_k(x, mk, k) for x in range(mk))
+    table, mask = kth_gcd_table(m, k)
+    assert list(table) == classes
+    assert list(mask) == [t == 1 for t in classes]
+
+
+def test_literal_pass_takes_no_gcd_per_class(monkeypatch):
+    calls = 0
+    gcd = math.gcd
+
+    def counting_gcd(*args):
+        nonlocal calls
+        calls += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    assert list(menon_sums(180, 2, range(-2, 3))) == [d_s_k(180, s, 2) * cohen_phi(180, 2) for s in range(-2, 3)]
+    assert len(list(kth_gcd_classes(180, 2))) == 180**2
+    assert calls < 100, calls
+
+
+@pytest.mark.parametrize(
+    "m, lie",
+    [
+        (15, ((15, 1),)),  # a composite passed off as prime
+        (9, ((3, 1), (3, 1))),  # a repeated prime
+        (9, ((-3, 2),)),  # p < 2
+        (12, ((2, 2), (3, 2))),  # a product other than m
+        (8, ((2, 10**9),)),  # an exponent no power of m can hold: refused before 2**v is built
+        (6, ((2, 1), (3, 0), (3, 1))),  # a zero exponent
+    ],
+)
+def test_literal_pass_checks_the_factorization(monkeypatch, m, lie):
+    monkeypatch.setattr(arith, "factorize", lambda n: lie if n == m else factorize(n))
+    for literal in (kth_gcd_classes, kth_gcd_table, cohen_phi_bruteforce, pillai_bruteforce):
+        with pytest.raises(FactorizationError, match=f"not the prime factorization of {m}"):
+            literal(m, 2)
+    assert cohen_phi_bruteforce(m + 1, 2) == cohen_phi(m + 1, 2)
 
 
 def test_eval_multiplicative_examples():
