@@ -28,11 +28,12 @@ The literal side is one sieve.  (x, m**k)_k is D**k for the largest
 divisor D of m with D**k | x, so the table over the classes x mod m**k
 is made by slice strokes: for each divisor d of m, in ascending order,
 every class divisible by d**k is set to d**k, and the last stroke on a
-class is its own D.  The reduced classes are those that no p**k with
-p | m divides.  ``kth_gcd_table(m, k)`` builds the whole table and that
-mask at once, for ``menon.menon_sums`` (which reads it for every shift)
-and the standard residue set; ``kth_gcd_classes(m, k)`` streams the
-same table in fixed blocks, for the two oracles.  Both go through the
+class is its own D.  ``kth_gcd_classes(m, k)`` streams that table in
+fixed blocks, for the two oracles.  The reduced classes are those that
+no p**k with p | m divides; ``kth_reduced_mask(m, k)`` strokes their
+mask over all classes at once and returns it with m's divisors, for
+``menon.menon_sums`` (which counts the mask along each divisor's
+stride) and the standard residue set.  Both go through the
 one budget gate ``limits.check_classes`` (at most min(cap, 2**25)
 classes) and read nothing of ``factorize(m)`` that they have not
 checked by definition: the (p, v) pairs must multiply to m, and each p
@@ -64,7 +65,7 @@ __all__ = [
     "gcd_pow_k",
     "largest_kth_power_divisor",
     "kth_gcd_classes",
-    "kth_gcd_table",
+    "kth_reduced_mask",
     "FactorizationError",
     "euler_phi",
     "cohen_phi",
@@ -118,8 +119,8 @@ class FactorizationError(RuntimeError):
     """factorize(m) gave pairs that are not the prime factorization of m."""
 
 
-#: Classes per block of the kth_gcd_classes stream: a block's table and
-#: mask take 320 KiB.
+#: Classes per block of the kth_gcd_classes stream: a block's table
+#: takes 256 KiB.
 _BLOCK = 1 << 16
 
 
@@ -145,48 +146,53 @@ def _literal_pairs(m: int, k: int, max_iterations: int | None) -> tuple[int, tup
     return mk, pairs
 
 
-def _kth_block(pairs: tuple[tuple[int, int], ...], k: int, offset: int, n: int) -> tuple[array, bytearray]:
-    """(x, m**k)_k and whether it is 1, for the classes x in [offset, offset + n).
-
-    ``pairs`` are the checked (p, v) of m.  Every divisor d of m, in
-    ascending order, strokes d**k over the classes it divides; of the
-    divisors whose k-th power divides x, all divide the largest, so its
-    stroke comes last.  The mask zeroes the classes some p**k divides.
-    """
+def _divisors(pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    """The divisors of m from its checked (p, v) pairs, ascending."""
     divisors = [1]
     for p, v in pairs:
         divisors = [d * p**e for d in divisors for e in range(v + 1)]
+    return sorted(divisors)
+
+
+def _kth_block(divisors: list[int], k: int, offset: int, n: int) -> array:
+    """(x, m**k)_k for the classes x in [offset, offset + n).
+
+    ``divisors`` are m's, ascending.  Each d strokes d**k over the
+    classes it divides; of the divisors whose k-th power divides x, all
+    divide the largest, so its stroke comes last.
+    """
     table = array("I", [1]) * n
-    mask = bytearray([1]) * n
-    for d in sorted(divisors)[1:]:
+    for d in divisors[1:]:
         q = d**k
         st = -offset % q
         table[st::q] = array("I", [q]) * len(range(st, n, q))
-    for p, _ in pairs:
-        q = p**k
-        st = -offset % q
-        mask[st::q] = bytes(len(range(st, n, q)))
-    return table, mask
+    return table
 
 
-def kth_gcd_table(m: int, k: int, max_iterations: int | None = None) -> tuple[array, bytearray]:
-    """The table t[x] = (x, m**k)_k over x = 0, ..., m**k - 1, and the mask t[x] == 1.
+def kth_reduced_mask(m: int, k: int, max_iterations: int | None = None) -> tuple[bytearray, list[int]]:
+    """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, and m's divisors, ascending.
 
-    Gated by ``limits.check_classes`` and built from checked pairs,
-    before anything is allocated.
+    A class is reduced when no p**k with p | m divides it, so each p
+    zeroes every p**k-th byte.  Gated by ``limits.check_classes`` and
+    built from checked pairs, before anything is allocated.
     """
     mk, pairs = _literal_pairs(m, k, max_iterations)
-    return _kth_block(pairs, k, 0, mk)
+    mask = bytearray([1]) * mk
+    for p, _ in pairs:
+        q = p**k
+        mask[::q] = bytes(mk // q)
+    return mask, _divisors(pairs)
 
 
 def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:
-    """(x, m**k)_k for x = 0, 1, ..., m**k - 1, lazily: kth_gcd_table in blocks.
+    """(x, m**k)_k for x = 0, 1, ..., m**k - 1, lazily, in sieved blocks.
 
     Arguments, the budget and the pairs are checked here, before the
     iterator is returned; it then holds one block of _BLOCK classes.
     """
     mk, pairs = _literal_pairs(m, k, max_iterations)
-    blocks = (_kth_block(pairs, k, o, min(_BLOCK, mk - o))[0] for o in range(0, mk, _BLOCK))
+    divisors = _divisors(pairs)
+    blocks = (_kth_block(divisors, k, o, min(_BLOCK, mk - o)) for o in range(0, mk, _BLOCK))
     return chain.from_iterable(blocks)
 
 

@@ -148,7 +148,7 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
                 else:
                     failed += 1
                     click.echo(f"FAIL m={m} s={s} k={k}: lhs={lhs} rhs={rhs}")
-            del lhss  # frees this modulus' table before the next one is built
+            del lhss  # frees this modulus' mask before the next one is built
     click.echo(f"checked={checked} passed={passed} failed={failed} skipped={skipped}")
     if failed:
         ctx.exit(EXIT_VERIFY_FAILED)

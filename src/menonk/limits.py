@@ -21,10 +21,13 @@ U128_MAX = (1 << 128) - 1
 DEFAULT_MAX_ITERATIONS = 10_000_000
 
 #: Most classes mod m**k any literal route may visit, whatever the
-#: iteration cap.  A table costs an array('I') slot and a mask byte, and
-#: its widest slice stroke a transient one or two bytes more: tracemalloc
-#: peaks at 6.0 bytes a class for m = 2000, k = 2, and at 7.0 for
-#: m = 4 * 10**6, k = 1, so at most about 235 MB.
+#: iteration cap.  The literal Menon sum holds a mask byte a class, and
+#: its widest stroke or stride a transient byte at most: tracemalloc
+#: peaks at 1.5 bytes a class for three shifts at m = 2000, k = 2, and
+#: at 2.0 for m = 4 * 10**6, k = 1, so at most about 67 MB.  The
+#: standard residue set also holds its members: it peaks at 31.6 and
+#: 18.2 bytes a class there, and at 42.2 for the prime m = 3999971,
+#: k = 1, so at most about 1.4 GB.
 MAX_TABLE_CLASSES = 2**25
 
 #: Environment variable the CLI reads as its default --max-iterations.

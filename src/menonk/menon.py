@@ -8,21 +8,24 @@ The central quantity is
 which equals d_s_k(m, s, k) * phi_k(m) for every integer s and all
 positive integers m, k.  Every function here takes the modulus, s and
 k as plain integers.  ``menon_sums`` evaluates the sum literally for
-many shifts at once (``menon_sum_bruteforce`` is its one-shift case);
-``menon_closed_form`` evaluates the product side from the factorization
-alone.  The verify_* helpers check the lemmas of the proof (unit
-translation, multiplicativity, prime powers) and return verdicts instead
-of asserting, so callers can report a counterexample (which would mean
-an implementation bug, not a false identity) with full context.
+many shifts at once (``menon_sum_bruteforce`` is its one-shift case):
+it counts the reduced classes along each divisor's stride, takes first
+differences over the primes of m, and weighs each exact count by its
+gcd value D**k.  ``menon_closed_form`` evaluates the product side from
+the factorization alone.  The verify_* helpers check the lemmas of the
+proof (unit translation, multiplicativity, prime powers) and return
+verdicts instead of asserting, so callers can report a counterexample
+(which would mean an implementation bug, not a false identity) with
+full context.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from operator import mul
 from typing import Iterable, Iterator
 
-from .arith import cohen_phi, d_s_k, gcd_pow_k, kth_gcd_table
+from .arith import cohen_phi, d_s_k, gcd_pow_k, kth_reduced_mask
 from .factor import is_prime
 from .limits import checked_mul, checked_pow
 from .residues import standard_residue_set
@@ -55,24 +58,44 @@ def menon_sum_over(elements: Iterable[int], m: int, s: int, k: int) -> int:
 def menon_sums(
     m: int, k: int, shifts: Iterable[int], max_iterations: int | None = None
 ) -> Iterator[int]:
-    """M(m, s, k) for each s in ``shifts``, in order, by direct summation.
+    """M(m, s, k) for each s in ``shifts``, in order, by direct count.
 
-    The sieved table t[x] = (x, m**k)_k over the classes x mod m**k and
-    the mask of the reduced classes come once, here, from kth_gcd_table;
-    each sum is then taken lazily.  The term for a is t[(a - s) mod m**k],
-    so M(m, s, k) sums t under the mask rotated left by s mod m**k: every
-    element of the standard residue set still contributes its own term.
-    The table is refused, before anything is allocated, by the class
-    gate, and a factorization of m that fails its check by definition
-    raises FactorizationError here.
+    The mask of the reduced classes mod m**k and m's divisors come once,
+    here, from kth_reduced_mask; each sum is then taken lazily.  The
+    divisors d of m with d**k | a - s are exactly those of D, where
+    D**k = (a - s, m**k)_k.  So c[d], the number of reduced a with
+    d**k | a - s, is the mask counted along the stride
+    mask[s mod d**k :: d**k], and it sums the exact counts over the
+    multiples of d.  First differences along each prime p of m
+    (c[D] -= c[pD], D ascending) leave c[D] = #{reduced a : (a - s,
+    m**k)_k = D**k}, and M(m, s, k) = sum c[D] * D**k.  Every reduced
+    class is still counted, in C, and the only weights are the values
+    D**k.  The mask is refused, before anything is allocated, by the
+    class gate, and a factorization of m that fails its check by
+    definition raises FactorizationError here.
     """
-    table, mask = kth_gcd_table(m, k, max_iterations)
-    mk = len(table)
-    return (sum(compress(table, mask[r:] + mask[:r])) for r in (s % mk for s in shifts))
+    mask, divisors = kth_reduced_mask(m, k, max_iterations)
+    powers = [d**k for d in divisors]
+    # A composite divisor has a smaller prime divisor, met before it.
+    primes: list[int] = []
+    for d in divisors[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    index = {d: i for i, d in enumerate(divisors)}
+    steps = [(i, index[d * p]) for p in primes for i, d in enumerate(divisors) if m % (d * p) == 0]
+    reduced = mask.count(1)
+
+    def total(s: int) -> int:
+        counts = [reduced] + [mask[s % q :: q].count(1) for q in powers[1:]]
+        for i, j in steps:
+            counts[i] -= counts[j]
+        return sum(map(mul, counts, powers))
+
+    return map(total, shifts)
 
 
 def menon_sum_bruteforce(m: int, s: int, k: int, max_iterations: int | None = None) -> int:
-    """M(m, s, k) by direct summation over the standard residue set."""
+    """M(m, s, k) literally, over the standard residue set: menon_sums at one shift."""
     (total,) = menon_sums(m, k, (s,), max_iterations)
     return total
 

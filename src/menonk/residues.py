@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .arith import cohen_phi, gcd_pow_k, kth_gcd_table
+from .arith import cohen_phi, gcd_pow_k, kth_reduced_mask
 from .limits import checked_mul, checked_pow
 
 __all__ = [
@@ -65,8 +65,8 @@ class ResidueSet:
 # cache_info(), which bench/worker.py reads.
 @lru_cache(maxsize=0)
 def _standard_elements(m: int, k: int, max_iterations: int | None) -> tuple[int, ...]:
-    """The members of [1, m**k], read off kth_gcd_table's mask of the reduced classes."""
-    _, mask = kth_gcd_table(m, k, max_iterations)
+    """The members of [1, m**k], read off kth_reduced_mask's mask of the reduced classes."""
+    mask, _ = kth_reduced_mask(m, k, max_iterations)
     # a in [1, m**k] lies in class a mod m**k: classes 1, ..., m**k - 1, then 0.
     return tuple(compress(range(1, len(mask) + 1), mask[1:] + mask[:1]))
 

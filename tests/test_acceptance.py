@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
+import doctest
 import math
 import random
 from pathlib import Path
@@ -223,3 +224,10 @@ def test_criterion_8_cli_golden_files(capsys):
     ok &= run(["--max-iterations", "5", "residues", "--m", "12", "--k", "1"]) == 2
     capsys.readouterr()
     check("criterion 8: CLI golden files byte-exact, exit codes per contract", ok)
+
+
+def test_readme_examples():
+    """README's ``>>>`` examples print what they show."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert attempted > 0 and failed == 0

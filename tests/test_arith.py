@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -19,7 +20,7 @@ from menonk.arith import (
     eval_multiplicative,
     gcd_pow_k,
     kth_gcd_classes,
-    kth_gcd_table,
+    kth_reduced_mask,
     largest_kth_power_divisor,
     pillai,
     pillai_bruteforce,
@@ -402,9 +403,9 @@ def test_kth_gcd_classes_cross_blocks():
     classes = list(kth_gcd_classes(m, k))
     assert len(classes) == mk
     assert all(classes[x] == gcd_pow_k(x, mk, k) for x in range(mk))
-    table, mask = kth_gcd_table(m, k)
-    assert list(table) == classes
+    mask, divisors = kth_reduced_mask(m, k)
     assert list(mask) == [t == 1 for t in classes]
+    assert divisors == [d for d in range(1, m + 1) if m % d == 0]
 
 
 def test_literal_pass_takes_no_gcd_per_class(monkeypatch):
@@ -435,7 +436,8 @@ def test_literal_pass_takes_no_gcd_per_class(monkeypatch):
 )
 def test_literal_pass_checks_the_factorization(monkeypatch, m, lie):
     monkeypatch.setattr(arith, "factorize", lambda n: lie if n == m else factorize(n))
-    for literal in (kth_gcd_classes, kth_gcd_table, cohen_phi_bruteforce, pillai_bruteforce):
+    sums = partial(menon_sums, shifts=[1])
+    for literal in (kth_gcd_classes, kth_reduced_mask, sums, cohen_phi_bruteforce, pillai_bruteforce):
         with pytest.raises(FactorizationError, match=f"not the prime factorization of {m}"):
             literal(m, 2)
     assert cohen_phi_bruteforce(m + 1, 2) == cohen_phi(m + 1, 2)

@@ -1,14 +1,26 @@
 import math
 import random
 import time
+from array import array
 from functools import partial
+from itertools import compress
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from menonk.arith import cohen_phi, d_s, d_s_k, divisor_count, euler_phi, gcd_pow_k, pillai
+from menonk import arith
+from menonk.arith import (
+    cohen_phi,
+    d_s,
+    d_s_k,
+    divisor_count,
+    euler_phi,
+    gcd_pow_k,
+    kth_gcd_classes,
+    pillai,
+)
 from menonk.limits import U128_MAX, ResourceLimitError, Uint128OverflowError
 from menonk.menon import (
     menon_closed_form,
@@ -146,6 +158,32 @@ def test_menon_sums_match_the_per_element_loop():
             elements = standard_residue_set(m, k).elements
             expected = [menon_sum_over(elements, m, s, k) for s in shifts]
             assert list(menon_sums(m, k, shifts)) == expected, (m, k)
+
+
+def rotated_sum(table, mask, s):
+    """M(m, s, k) as the sum of t[(a - s) mod m**k] over the reduced a: the mask rotated left by s."""
+    r = s % len(table)
+    return sum(compress(table, mask[r:] + mask[:r]))
+
+
+@pytest.mark.parametrize("m, k", [(30030, 1), (720720, 1), (360, 2), (60, 3)])
+def test_menon_sums_match_the_rotated_table_sum(m, k):
+    # d(m) = 64, 240, 24 and 12: that many strides a shift, and first differences over each prime
+    mk = m**k
+    table = array("I", kth_gcd_classes(m, k))
+    mask = bytes(t == 1 for t in table)
+    shifts = [0, 1, -1, mk, 2 * mk + 3, 2**200, -(2**200), 6**k * 5**k]
+    assert list(menon_sums(m, k, shifts)) == [rotated_sum(table, mask, s) for s in shifts]
+
+
+def test_menon_sums_build_no_gcd_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("menon_sums built a gcd table")
+
+    monkeypatch.setattr(arith, "_kth_block", no_table)
+    for m, k in ((360, 2), (720, 1), (60, 3)):
+        shifts = range(-3, 4)
+        assert list(menon_sums(m, k, shifts)) == [menon_closed_form(m, s, k) for s in shifts]
 
 
 def test_menon_sums_checks_before_summing():
