@@ -16,8 +16,9 @@ Definitions (all exact integers):
 Each closed form is defined once, as its prime-power rule: a plain
 (p, v) -> int function from one of the ``*_rule`` factories at the end
 of this module.  ``eval_multiplicative(rule, pairs)`` is the one product
-over (p, v) pairs; the scalar functions feed it ``factorize(m)`` and
-``batch`` feeds it the sieve's pairs.  ``pillai`` instead takes the
+over (p, v) pairs, which the scalar functions feed ``factorize(m)``;
+``batch`` multiplies the same rules along its sieve's prime-power
+chain.  ``pillai`` instead takes the
 divisor sum, a third route checked against ``pillai_rule``.  Every
 function with a closed form also has a brute-force twin here (suffix
 ``_bruteforce``) that evaluates the defining count or sum literally;
@@ -289,7 +290,8 @@ def eval_multiplicative(rule: Rule, pairs: Iterable[tuple[int, int]]) -> int:
 
 # The prime-power rules: the one place each closed form's local factor
 # f(p**v) is written.  Each rule is named after its column, and that
-# name is what eval_multiplicative's overflow message reports.  phi_k
+# name is what the overflow messages of eval_multiplicative and of
+# batch's rows report.  phi_k
 # and P_k at p**v are at least p**(v*k) / 2 >= 2**(v*k - 1), so from
 # v*k = 129 on they refuse before building the power.
 

@@ -2,29 +2,34 @@
 
 The sieve is ``factor.smallest_prime_factors``, the one sieve in the
 package: fewer than N ln(N) / 2 array writes, all by C-level slice
-assignments rather than a Python loop per entry.  The factorization of
-any m <= N falls out by repeated spf division with no trial division
-per row.  Each column is arith.eval_multiplicative of its prime-power
-rule over the row's (p, v) pairs, so the table and the scalar functions
-share one product and one definition per closed form.  The Pillai
-column takes that multiplicative route rather than arith.pillai's
-divisor sum, giving the table an independent path to cross-check.
-``BatchRow`` is a named tuple whose fields are the table's column order.
+assignments rather than a Python loop per entry.  The rows then turn
+that array, in place and in ascending m, into the prime-power chain:
+q[m] is the power of m's smallest prime that exactly divides m, so
+m, m // q[m], ... walks m's prime powers with no division loop per row
+and no second array.  Every column is multiplicative, so a row is the
+product of its prime-power rules (arith's ``cohen_phi_rule``,
+``d_s_k_rule`` and ``pillai_rule``, each written once) along that
+chain.  The Pillai column takes that multiplicative route rather than
+arith.pillai's divisor sum, giving the table an independent path to
+cross-check.  ``BatchRow`` is a named tuple whose fields are the
+table's column order.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, pillai_rule
+from .arith import cohen_phi_rule, d_s_k_rule, pillai_rule
 from .factor import smallest_prime_factors
 from .limits import (
+    U128_MAX,
     ResourceLimitError,
     check_classes,
-    checked_mul,
     checked_pow,
+    ensure_u128,
     resolve_max_iterations,
 )
 from .menon import menon_sum_bruteforce
@@ -94,17 +99,19 @@ def batch_table(
     with_bruteforce: bool = False,
     max_iterations: int | None = None,
 ) -> Iterator[BatchRow]:
-    """Stream BatchRows for m = 1..n, factorizations served by the sieve.
+    """Stream BatchRows for m = 1..n, each a product along the sieve's prime-power chain.
 
     Arguments are validated (and the sieve built) up front; the rows
-    themselves are generated lazily in ascending m.
+    themselves are generated lazily in ascending m.  Since n**k < 2**128,
+    every p**v dividing a row has v*k < 128, so no rule refuses; only a
+    product (P_k first) can leave the domain.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     checked_pow(n, k, "n^k")
     if with_bruteforce:
         _check_bruteforce_budget(n, k, max_iterations)
-    return _rows(n, s, k, with_bruteforce, max_iterations, build_sieve(max(n, 2)))
+    return _rows(n, s, k, with_bruteforce, max_iterations, build_sieve(max(n, 2)).spf)
 
 
 def _check_bruteforce_budget(n: int, k: int, max_iterations: int | None) -> None:
@@ -130,16 +137,50 @@ def _rows(
     k: int,
     with_bruteforce: bool,
     max_iterations: int | None,
-    sieve: SpfSieve,
+    q: array,
 ) -> Iterator[BatchRow]:
-    phi_rule, dsk_rule, pil_rule = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
+    """The rows, from the call's own spf array, which becomes the prime-power chain.
+
+    Walking m upwards, with p = spf[m] and j = m // p, q[m] is set to
+    q[j] * p if p | j (then spf[j] was p, and q[j] is p's part of j),
+    else to p: the power of m's smallest prime exactly dividing m.  Each
+    column is multiplicative, so a row is the product of its rule values
+    at q[m], q[m // q[m]], ...  Those of the prime powers of p <= isqrt(n)
+    are cached, a few hundred entries; a row has at most one prime factor
+    above isqrt(n), with v = 1, and its rules are called directly.
+    """
+    rules = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
+    phi_rule, dsk_rule, pil_rule = rules
+    local = {}
+    for p in range(2, math.isqrt(n) + 1):
+        if q[p] == p:
+            pv, v = p, 1
+            while pv <= n:
+                local[pv] = tuple(rule(p, v) for rule in rules)
+                pv, v = pv * p, v + 1
     for m in range(1, n + 1):
-        pairs = sieve.factorization(m)
-        phi_k = eval_multiplicative(phi_rule, pairs)
-        dsk = eval_multiplicative(dsk_rule, pairs)
-        # P_k >= d_s_k * phi_k at every prime power, so P_k overflows first.
-        pil = eval_multiplicative(pil_rule, pairs)
-        rhs = checked_mul(dsk, phi_k, "d_s_k * phi_k")
+        if m > 1:
+            p = q[m]
+            j = m // p
+            q[m] = q[j] * p if j % p == 0 else p
+        phi_k = dsk = pil = 1
+        rest = m
+        while rest > 1:
+            f = q[rest]
+            at = local.get(f)
+            if at is None:  # three calls: a tuple over a generator made the rows 20% slower
+                at = phi_rule(f, 1), dsk_rule(f, 1), pil_rule(f, 1)
+            phi_k *= at[0]
+            dsk *= at[1]
+            pil *= at[2]
+            rest //= f
+        # Each rule is at least 1 and P_k >= d_s_k * phi_k at every prime
+        # power, so nothing passes 2**128 unless P_k does.  Then the columns
+        # are checked in order, under the rule names, as one product each.
+        if pil > U128_MAX:
+            for value, rule in zip((phi_k, dsk, pil), rules):
+                ensure_u128(value, rule.__name__)
+        rhs = dsk * phi_k
         lhs = None
         verified = None
         if with_bruteforce:

@@ -1,9 +1,10 @@
 import pytest
 
+from menonk import arith, batch
 from menonk.arith import cohen_phi, d_s_k, pillai
-from menonk.batch import batch_table, build_sieve
+from menonk.batch import SpfSieve, batch_table, build_sieve
 from menonk.factor import factorize, is_prime
-from menonk.limits import ResourceLimitError
+from menonk.limits import ResourceLimitError, Uint128OverflowError
 from menonk.menon import menon_sum_bruteforce
 
 
@@ -58,6 +59,39 @@ def test_batch_rows_match_arith():
         assert r.menon_rhs == r.d_s_k * r.phi_k
         assert r.menon_lhs == menon_sum_bruteforce(r.m, -18, 2)
         assert r.verified is True
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batch_columns_match_the_scalar_functions(k):
+    # m <= 5000 reaches prime powers up to 2^12, primes above isqrt(5000) = 70
+    # alone and times small parts, and the rows next to squares.
+    phi = [cohen_phi(m, k) for m in range(1, 5001)]
+    pil = [pillai(m, k) for m in range(1, 5001)]
+    for s in (0, 1, -18, 1296, 2**4 * 3**4 * 5):
+        for r, phi_k, pillai_k in zip(batch_table(5000, s, k), phi, pil, strict=True):
+            dsk = d_s_k(r.m, s, k)
+            expected = (phi_k, dsk, pillai_k, dsk * phi_k)
+            assert (r.phi_k, r.d_s_k, r.pillai_k, r.menon_rhs) == expected, (r.m, s)
+
+
+def test_batch_rows_take_the_prime_power_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row was factored again")
+
+    monkeypatch.setattr(SpfSieve, "factorization", refuse)
+    monkeypatch.setattr(arith, "eval_multiplicative", refuse)
+    monkeypatch.setattr(batch, "eval_multiplicative", refuse, raising=False)
+    rows = list(batch_table(3000, 1, 2))
+    assert [r.m for r in rows] == list(range(1, 3001))
+    assert rows[-1].phi_k == (2**6 - 2**4) * (3**2 - 1) * (5**6 - 5**4)  # 3000 = 2^3 * 3 * 5^3
+
+
+def test_batch_overflow_after_streamed_rows():
+    # P_16(216) is the first value past 2^128; the rows before it are whole.
+    rows = batch_table(255, 1, 16)
+    assert [r.m for _, r in zip(range(215), rows)] == list(range(1, 216))
+    with pytest.raises(Uint128OverflowError, match=r"^P_k = \d+ is outside"):
+        next(rows)
 
 
 def test_batch_row_examples():
