@@ -22,8 +22,9 @@ chain.  ``pillai`` instead takes the
 divisor sum, a third route checked against ``pillai_rule``.  Every
 function with a closed form also has a brute-force twin here (suffix
 ``_bruteforce``) that evaluates the defining count or sum literally;
-the twins are each other's oracles and share nothing but
-``factorize(m)``, which the literal side checks before it reads it.
+the twins are each other's oracles and share nothing: the literal
+side factors m by its own trial division and never reads
+``factorize``.
 
 The literal side is one sieve.  (x, m**k)_k is D**k for the largest
 divisor D of m with D**k | x, so the table over the classes x mod m**k
@@ -36,12 +37,8 @@ mask over all classes at once and returns it with m's divisors, for
 ``menon.menon_sums`` (which counts the mask along each divisor's
 stride) and the standard residue set.  Both go through the
 one budget gate ``limits.check_classes`` (at most min(cap, 2**25)
-classes) and read nothing of ``factorize(m)`` that they have not
-checked by definition: the (p, v) pairs must multiply to m, and each p
-must be prime by trial division.  A wrong factorization therefore
-raises ``FactorizationError`` instead of agreeing with a wrong closed
-form.  ``pillai``'s divisor sum reads only the exponents of
-``factorize(m)``.
+classes) before m is factored.  ``pillai``'s divisor sum reads only
+the exponents of ``factorize(m)``.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ __all__ = [
     "largest_kth_power_divisor",
     "kth_gcd_classes",
     "kth_reduced_mask",
-    "FactorizationError",
     "euler_phi",
     "cohen_phi",
     "cohen_phi_bruteforce",
@@ -116,39 +112,38 @@ def gcd_pow_k(a: int, b: int, k: int) -> int:
     return largest_kth_power_divisor(math.gcd(a, b), k)
 
 
-class FactorizationError(RuntimeError):
-    """factorize(m) gave pairs that are not the prime factorization of m."""
-
-
 #: Classes per block of the kth_gcd_classes stream: a block's table
 #: takes 256 KiB.
 _BLOCK = 1 << 16
 
 
 def _literal_pairs(m: int, k: int, max_iterations: int | None) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """m**k and the (p, v) pairs of m, once the gate passes and the pairs are checked.
+    """m**k and the (p, v) pairs of m, primes ascending, once the class gate passes.
 
-    The class gate bounds m by 2**25, so trial division to isqrt(p)
-    takes at most 5793 steps a prime.  Each pair is checked for shape
-    before any power is built, so no answer from factorize can hang it.
+    m is factored here by trial division, not by ``factorize``, so the
+    literal route shares nothing with the closed forms.  The gate runs
+    first and bounds m by 2**25, so no divisor past 5792 is tried.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     mk = check_classes(m, k, max_iterations, f"enumerating residues mod {m}^{k}")
-    pairs = factorize(m)
-    primes = [p for p, _ in pairs]
-    if not (
-        all(2 <= p <= m and 1 <= v <= m.bit_length() for p, v in pairs)
-        and math.prod(p**v for p, v in pairs) == m
-        and len(set(primes)) == len(primes)
-        and all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
-    ):
-        raise FactorizationError(f"factorize({m}) = {pairs!r} is not the prime factorization of {m}")
-    return mk, pairs
+    pairs = []
+    n, p = m, 2
+    while p * p <= n:
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        if v:
+            pairs.append((p, v))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return mk, tuple(pairs)
 
 
 def _divisors(pairs: tuple[tuple[int, int], ...]) -> list[int]:
-    """The divisors of m from its checked (p, v) pairs, ascending."""
+    """The divisors of m from its (p, v) pairs, ascending."""
     divisors = [1]
     for p, v in pairs:
         divisors = [d * p**e for d in divisors for e in range(v + 1)]
@@ -174,8 +169,8 @@ def kth_reduced_mask(m: int, k: int, max_iterations: int | None = None) -> tuple
     """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, and m's divisors, ascending.
 
     A class is reduced when no p**k with p | m divides it, so each p
-    zeroes every p**k-th byte.  Gated by ``limits.check_classes`` and
-    built from checked pairs, before anything is allocated.
+    zeroes every p**k-th byte.  Gated by ``limits.check_classes``
+    before anything is allocated.
     """
     mk, pairs = _literal_pairs(m, k, max_iterations)
     mask = bytearray([1]) * mk
@@ -188,8 +183,8 @@ def kth_reduced_mask(m: int, k: int, max_iterations: int | None = None) -> tuple
 def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:
     """(x, m**k)_k for x = 0, 1, ..., m**k - 1, lazily, in sieved blocks.
 
-    Arguments, the budget and the pairs are checked here, before the
-    iterator is returned; it then holds one block of _BLOCK classes.
+    Arguments and the budget are checked here, before the iterator is
+    returned; it then holds one block of _BLOCK classes.
     """
     mk, pairs = _literal_pairs(m, k, max_iterations)
     divisors = _divisors(pairs)

@@ -1,8 +1,7 @@
 """Command-line front door: single values, grid verification, tables, residues.
 
 Exit codes: 0 success (and, for verify, zero failures); 1 usage error;
-2 overflow or iteration/memory cap; 3 verification failure, including a
-factorization that the literal route finds false.  Output is
+2 overflow or iteration/memory cap; 3 verification failure.  Output is
 byte-deterministic for fixed inputs and format.
 """
 
@@ -113,8 +112,7 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
     Grid points whose brute-force sum would exceed the iteration cap, or
     whose table would exceed the class bound, are skipped and counted.
     Every failure is printed in full (a failure means an implementation
-    bug: the identity itself always holds).  A modulus whose factorization
-    fails the literal route's check fails at every shift.
+    bug: the identity itself always holds).
     """
     cap = ctx.obj["max_iterations"]
     ms = _parse_range(m_range, "m")
@@ -132,12 +130,6 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
                 # The class gate refuses m**k, which grows with m: skip the whole suffix.
                 skipped += (len(ms) - i) * len(ss)
                 break
-            except arith.FactorizationError as exc:
-                checked += len(ss)
-                failed += len(ss)
-                for s in ss:
-                    click.echo(f"FAIL m={m} s={s} k={k}: {exc}")
-                continue
             for s, lhs in zip(ss, lhss):
                 rhs = menon.menon_closed_form(m, s, k)
                 checked += 1
@@ -242,9 +234,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (Uint128OverflowError, ResourceLimitError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_LIMIT
-    except arith.FactorizationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_VERIFY_FAILED
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE

@@ -71,8 +71,7 @@ def menon_sums(
     m**k)_k = D**k}, and M(m, s, k) = sum c[D] * D**k.  Every reduced
     class is still counted, in C, and the only weights are the values
     D**k.  The mask is refused, before anything is allocated, by the
-    class gate, and a factorization of m that fails its check by
-    definition raises FactorizationError here.
+    class gate.
     """
     mask, divisors = kth_reduced_mask(m, k, max_iterations)
     powers = [d**k for d in divisors]

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import compress
 
 from .arith import cohen_phi, gcd_pow_k, kth_reduced_mask
-from .limits import checked_mul, checked_pow
+from .limits import check_classes, checked_pow
 
 __all__ = [
     "ResidueSet",
@@ -81,16 +81,17 @@ def crt_combine(a1: ResidueSet, a2: ResidueSet) -> ResidueSet:
 
     The combined representatives are a1*m2**k + a2*m1**k over all pairs,
     reduced into [1, (m1*m2)**k]; they land in |a1|*|a2| = phi_k(m1*m2)
-    pairwise distinct classes.
+    pairwise distinct classes.  Like every literal pass, it is refused
+    by ``limits.check_classes`` (default cap) before any pair is formed.
     """
     if a1.k != a2.k:
         raise ValueError(f"mismatched powers k = {a1.k} and k = {a2.k}")
     if math.gcd(a1.m, a2.m) != 1:
         raise ValueError(f"moduli {a1.m} and {a2.m} are not coprime")
     k = a1.k
-    m1k = checked_pow(a1.m, k, "m1^k")
-    m2k = checked_pow(a2.m, k, "m2^k")
-    mk = checked_mul(m1k, m2k, "(m1*m2)^k")
+    # There are at most (m1*m2)**k pairs, so the class gate bounds them.
+    mk = check_classes(a1.m * a2.m, k, None, f"combining residues mod ({a1.m}*{a2.m})^{k}")
+    m1k, m2k = a1.m**k, a2.m**k
     combined = sorted(
         (x1 * m2k + x2 * m1k - 1) % mk + 1
         for x1 in a1.elements

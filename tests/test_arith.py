@@ -2,13 +2,11 @@ import math
 import random
 import time
 import tracemalloc
-from functools import partial
 
 import pytest
 
 from menonk import arith, factor
 from menonk.arith import (
-    FactorizationError,
     cohen_phi,
     cohen_phi_bruteforce,
     cohen_phi_rule,
@@ -28,6 +26,7 @@ from menonk.arith import (
 )
 from menonk.factor import factorize
 from menonk.limits import (
+    MAX_TABLE_CLASSES,
     U128_MAX,
     ResourceLimitError,
     Uint128OverflowError,
@@ -435,12 +434,31 @@ def test_literal_pass_takes_no_gcd_per_class(monkeypatch):
     ],
 )
 def test_literal_pass_checks_the_factorization(monkeypatch, m, lie):
+    # The literal route makes m's factorization itself, so a lie from factorize cannot reach it.
+    literals = (
+        lambda: list(kth_gcd_classes(m, 2)),
+        lambda: kth_reduced_mask(m, 2),
+        lambda: list(menon_sums(m, 2, range(-2, 3))),
+        lambda: cohen_phi_bruteforce(m, 2),
+        lambda: pillai_bruteforce(m, 2),
+    )
+    expected = [literal() for literal in literals]
     monkeypatch.setattr(arith, "factorize", lambda n: lie if n == m else factorize(n))
-    sums = partial(menon_sums, shifts=[1])
-    for literal in (kth_gcd_classes, kth_reduced_mask, sums, cohen_phi_bruteforce, pillai_bruteforce):
-        with pytest.raises(FactorizationError, match=f"not the prime factorization of {m}"):
-            literal(m, 2)
-    assert cohen_phi_bruteforce(m + 1, 2) == cohen_phi(m + 1, 2)
+    assert [literal() for literal in literals] == expected
+
+
+def test_literal_pairs_match_factorize():
+    # 5791 is the largest prime the gate lets trial division reach, 33554393 the largest prime below 2**25.
+    for m in [*range(1, 10**4 + 1), 2**25, 5791**2, 33554393, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]:
+        assert arith._literal_pairs(m, 1, MAX_TABLE_CLASSES) == (m, factorize(m)), m
+
+
+def test_literal_gate_runs_before_trial_division():
+    # Trial division of the prime 2**127 - 1 would not end; the class gate refuses it first.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        kth_reduced_mask(2**127 - 1, 1, max_iterations=10**40)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_multiplicative_examples():

@@ -186,6 +186,24 @@ def test_menon_sums_build_no_gcd_table(monkeypatch):
         assert list(menon_sums(m, k, shifts)) == [menon_closed_form(m, s, k) for s in shifts]
 
 
+def test_no_literal_entry_point_reads_factorize(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) read by the literal route")
+
+    literals = (
+        lambda: list(kth_gcd_classes(360, 1)),
+        lambda: arith.kth_reduced_mask(360, 1),
+        lambda: list(menon_sums(360, 1, range(-3, 4))),
+        lambda: arith.cohen_phi_bruteforce(60, 2),
+        lambda: arith.pillai_bruteforce(60, 2),
+        lambda: menon_sum_bruteforce(60, 4, 2),
+        lambda: standard_residue_set(60, 2),
+    )
+    expected = [literal() for literal in literals]
+    monkeypatch.setattr(arith, "factorize", refuse)
+    assert [literal() for literal in literals] == expected
+
+
 def test_menon_sums_checks_before_summing():
     with pytest.raises(ValueError):
         menon_sums(0, 1, [1])

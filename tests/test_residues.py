@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -101,6 +102,15 @@ def test_crt_combine_domain_errors():
             ResidueSet(2**40, 3, (1,)),  # hand-built; only moduli matter here
             ResidueSet(3**40, 3, (1,)),
         )
+
+
+def test_crt_combine_is_gated_before_pairing():
+    # 3600**2 classes are over the default cap; 8.3 * 10**6 pairs would be formed otherwise.
+    a1, a2 = standard_residue_set(400, 2), standard_residue_set(9, 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"\(400\*9\)\^2"):
+        crt_combine(a1, a2)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_membership_stability_under_shifts():
