@@ -33,12 +33,13 @@ every class divisible by d**k is set to d**k, and the last stroke on a
 class is its own D.  ``kth_gcd_classes(m, k)`` streams that table in
 fixed blocks, for the two oracles.  The reduced classes are those that
 no p**k with p | m divides; ``kth_reduced_mask(m, k)`` strokes their
-mask over all classes at once and returns it with m's divisors, for
-``menon.menon_sums`` (which counts the mask along each divisor's
-stride) and the standard residue set.  Both go through the
-one budget gate ``limits.check_classes`` (at most min(cap, 2**25)
-classes) before m is factored.  ``pillai``'s divisor sum reads only
-the exponents of ``factorize(m)``.
+mask over all classes at once and returns it with m's divisor lattice
+(its divisors, ascending, and the prime steps d -> p * d between them)
+for ``menon.menon_sums``; the standard residue set reads only the mask.
+One private step factors m and lays out that lattice, for both passes,
+after the one budget gate ``limits.check_classes`` (at most
+min(cap, 2**25) classes).  ``pillai``'s divisor sum reads only the
+exponents of ``factorize(m)``.
 """
 
 from __future__ import annotations
@@ -117,12 +118,14 @@ def gcd_pow_k(a: int, b: int, k: int) -> int:
 _BLOCK = 1 << 16
 
 
-def _literal_pairs(m: int, k: int, max_iterations: int | None) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """m**k and the (p, v) pairs of m, primes ascending, once the class gate passes.
+def _literal_lattice(
+    m: int, k: int, max_iterations: int | None
+) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    """m**k, m's primes, and its divisors and steps as kth_reduced_mask returns them.
 
     m is factored here by trial division, not by ``factorize``, so the
-    literal route shares nothing with the closed forms.  The gate runs
-    first and bounds m by 2**25, so no divisor past 5792 is tried.
+    literal route shares nothing with the closed forms.  The class gate
+    runs first and bounds m by 2**25, so no divisor past 5792 is tried.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
@@ -139,15 +142,14 @@ def _literal_pairs(m: int, k: int, max_iterations: int | None) -> tuple[int, tup
         p += 1
     if n > 1:
         pairs.append((n, 1))
-    return mk, tuple(pairs)
-
-
-def _divisors(pairs: tuple[tuple[int, int], ...]) -> list[int]:
-    """The divisors of m from its (p, v) pairs, ascending."""
     divisors = [1]
     for p, v in pairs:
         divisors = [d * p**e for d in divisors for e in range(v + 1)]
-    return sorted(divisors)
+    divisors.sort()
+    index = {d: i for i, d in enumerate(divisors)}
+    primes = [p for p, _ in pairs]
+    steps = [(i, index[d * p]) for p in primes for i, d in enumerate(divisors) if d * p in index]
+    return mk, primes, divisors, steps
 
 
 def _kth_block(divisors: list[int], k: int, offset: int, n: int) -> array:
@@ -165,19 +167,23 @@ def _kth_block(divisors: list[int], k: int, offset: int, n: int) -> array:
     return table
 
 
-def kth_reduced_mask(m: int, k: int, max_iterations: int | None = None) -> tuple[bytearray, list[int]]:
-    """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, and m's divisors, ascending.
+def kth_reduced_mask(
+    m: int, k: int, max_iterations: int | None = None
+) -> tuple[bytearray, list[int], list[tuple[int, int]]]:
+    """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, with m's divisors and prime steps.
 
-    A class is reduced when no p**k with p | m divides it, so each p
-    zeroes every p**k-th byte.  Gated by ``limits.check_classes``
-    before anything is allocated.
+    The divisors come ascending; a step (i, j) has divisors[j] =
+    p * divisors[i] for a prime p of m, listed prime by prime with i
+    ascending.  A class is reduced when no p**k with p | m divides it,
+    so each p zeroes every p**k-th byte.  Gated by
+    ``limits.check_classes`` before anything is allocated.
     """
-    mk, pairs = _literal_pairs(m, k, max_iterations)
+    mk, primes, divisors, steps = _literal_lattice(m, k, max_iterations)
     mask = bytearray([1]) * mk
-    for p, _ in pairs:
+    for p in primes:
         q = p**k
         mask[::q] = bytes(mk // q)
-    return mask, _divisors(pairs)
+    return mask, divisors, steps
 
 
 def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:
@@ -186,8 +192,7 @@ def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterat
     Arguments and the budget are checked here, before the iterator is
     returned; it then holds one block of _BLOCK classes.
     """
-    mk, pairs = _literal_pairs(m, k, max_iterations)
-    divisors = _divisors(pairs)
+    mk, _, divisors, _ = _literal_lattice(m, k, max_iterations)
     blocks = (_kth_block(divisors, k, o, min(_BLOCK, mk - o)) for o in range(0, mk, _BLOCK))
     return chain.from_iterable(blocks)
 

@@ -103,8 +103,8 @@ def batch_table(
 
     Arguments are validated (and the sieve built) up front; the rows
     themselves are generated lazily in ascending m.  Since n**k < 2**128,
-    every p**v dividing a row has v*k < 128, so no rule refuses; only a
-    product (P_k first) can leave the domain.
+    every p**v dividing a row has v*k < 128, so no rule refuses; only the
+    P_k product can leave the domain.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
@@ -174,12 +174,10 @@ def _rows(
             dsk *= at[1]
             pil *= at[2]
             rest //= f
-        # Each rule is at least 1 and P_k >= d_s_k * phi_k at every prime
-        # power, so nothing passes 2**128 unless P_k does.  Then the columns
-        # are checked in order, under the rule names, as one product each.
+        # phi_k <= m**k < 2**128, since batch_table refused n**k >= 2**128, and
+        # d_s_k * phi_k < P_k at every prime power: only P_k can leave the domain.
         if pil > U128_MAX:
-            for value, rule in zip((phi_k, dsk, pil), rules):
-                ensure_u128(value, rule.__name__)
+            ensure_u128(pil, pil_rule.__name__)
         rhs = dsk * phi_k
         lhs = None
         verified = None

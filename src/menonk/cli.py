@@ -223,11 +223,9 @@ def cmd_residues(ctx, m: int, k: int) -> None:
 def run(argv: Sequence[str] | None = None) -> int:
     """Invoke the CLI and map every outcome onto the documented exit codes."""
     try:
-        # In non-standalone mode click returns ctx.exit codes instead of
-        # calling sys.exit, so thread them through.
+        # In non-standalone mode click returns ctx.exit codes (--help's 0,
+        # verify's 3) instead of calling sys.exit, so thread them through.
         result = cli.main(args=argv, prog_name="menonk", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

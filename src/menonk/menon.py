@@ -60,28 +60,21 @@ def menon_sums(
 ) -> Iterator[int]:
     """M(m, s, k) for each s in ``shifts``, in order, by direct count.
 
-    The mask of the reduced classes mod m**k and m's divisors come once,
-    here, from kth_reduced_mask; each sum is then taken lazily.  The
-    divisors d of m with d**k | a - s are exactly those of D, where
-    D**k = (a - s, m**k)_k.  So c[d], the number of reduced a with
-    d**k | a - s, is the mask counted along the stride
+    The mask of the reduced classes mod m**k, m's divisors and their
+    prime steps come once, here, from kth_reduced_mask; each sum is then
+    taken lazily.  The divisors d of m with d**k | a - s are exactly
+    those of D, where D**k = (a - s, m**k)_k.  So c[d], the number of
+    reduced a with d**k | a - s, is the mask counted along the stride
     mask[s mod d**k :: d**k], and it sums the exact counts over the
-    multiples of d.  First differences along each prime p of m
-    (c[D] -= c[pD], D ascending) leave c[D] = #{reduced a : (a - s,
-    m**k)_k = D**k}, and M(m, s, k) = sum c[D] * D**k.  Every reduced
-    class is still counted, in C, and the only weights are the values
-    D**k.  The mask is refused, before anything is allocated, by the
-    class gate.
+    multiples of d.  First differences along each step (i, j), where
+    divisors[j] = p * divisors[i] (c[D] -= c[pD], prime by prime, D
+    ascending), leave c[D] = #{reduced a : (a - s, m**k)_k = D**k},
+    and M(m, s, k) = sum c[D] * D**k.  Every reduced class is still
+    counted, in C, and the only weights are the values D**k.  The mask
+    is refused, before anything is allocated, by the class gate.
     """
-    mask, divisors = kth_reduced_mask(m, k, max_iterations)
+    mask, divisors, steps = kth_reduced_mask(m, k, max_iterations)
     powers = [d**k for d in divisors]
-    # A composite divisor has a smaller prime divisor, met before it.
-    primes: list[int] = []
-    for d in divisors[1:]:
-        if all(d % p for p in primes):
-            primes.append(d)
-    index = {d: i for i, d in enumerate(divisors)}
-    steps = [(i, index[d * p]) for p in primes for i, d in enumerate(divisors) if m % (d * p) == 0]
     reduced = mask.count(1)
 
     def total(s: int) -> int:

@@ -66,7 +66,7 @@ class ResidueSet:
 @lru_cache(maxsize=0)
 def _standard_elements(m: int, k: int, max_iterations: int | None) -> tuple[int, ...]:
     """The members of [1, m**k], read off kth_reduced_mask's mask of the reduced classes."""
-    mask, _ = kth_reduced_mask(m, k, max_iterations)
+    mask = kth_reduced_mask(m, k, max_iterations)[0]
     # a in [1, m**k] lies in class a mod m**k: classes 1, ..., m**k - 1, then 0.
     return tuple(compress(range(1, len(mask) + 1), mask[1:] + mask[:1]))
 

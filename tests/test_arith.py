@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -394,6 +395,12 @@ def test_oracles_stream_the_classes():
         assert peak < 1 << 20, (oracle.__name__, peak)
 
 
+def prime_steps(divisors: list[int], primes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every (i, j) with divisors[j] = p * divisors[i], by p in order, then i ascending."""
+    pairs = [(i, j) for i, d in enumerate(divisors) for j, e in enumerate(divisors)]
+    return [(i, j) for p in primes for i, j in pairs if divisors[j] == p * divisors[i]]
+
+
 def test_kth_gcd_classes_cross_blocks():
     # 90,000 classes: one full block, then a partial one
     m, k = 300, 2
@@ -402,9 +409,10 @@ def test_kth_gcd_classes_cross_blocks():
     classes = list(kth_gcd_classes(m, k))
     assert len(classes) == mk
     assert all(classes[x] == gcd_pow_k(x, mk, k) for x in range(mk))
-    mask, divisors = kth_reduced_mask(m, k)
+    mask, divisors, steps = kth_reduced_mask(m, k)
     assert list(mask) == [t == 1 for t in classes]
     assert divisors == [d for d in range(1, m + 1) if m % d == 0]
+    assert steps == prime_steps(divisors, (2, 3, 5))
 
 
 def test_literal_pass_takes_no_gcd_per_class(monkeypatch):
@@ -450,7 +458,18 @@ def test_literal_pass_checks_the_factorization(monkeypatch, m, lie):
 def test_literal_pairs_match_factorize():
     # 5791 is the largest prime the gate lets trial division reach, 33554393 the largest prime below 2**25.
     for m in [*range(1, 10**4 + 1), 2**25, 5791**2, 33554393, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]:
-        assert arith._literal_pairs(m, 1, MAX_TABLE_CLASSES) == (m, factorize(m)), m
+        pairs = factorize(m)
+        powers = ([p**e for e in range(v + 1)] for p, v in pairs)
+        divisors = sorted(math.prod(es) for es in itertools.product(*powers))
+        mk, primes, lattice_divisors, steps = arith._literal_lattice(m, 1, MAX_TABLE_CLASSES)
+        # The divisors of m, once right, fix its (p, v) pairs.
+        assert (mk, primes, lattice_divisors) == (m, [p for p, _ in pairs], divisors), m
+        if m in (1, 2, 12, 360, 2**25, 5791**2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19):
+            assert steps == prime_steps(divisors, tuple(primes)), m
+    # 240 divisors over six primes
+    assert arith._literal_lattice(720720, 1, None)[3] == prime_steps(
+        [d for d in range(1, 720721) if 720720 % d == 0], (2, 3, 5, 7, 11, 13)
+    )
 
 
 def test_literal_gate_runs_before_trial_division():

@@ -374,6 +374,10 @@ def test_outputs_are_deterministic(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == EXIT_OK and "compute" in out
+    assert out.startswith("Usage:")
+    # click returns --help's exit code when not standalone; run maps nothing itself
+    code, out, _ = invoke(capsys, "table", "--help")
+    assert code == EXIT_OK and out.startswith("Usage:") and "--with-bruteforce" in out
 
 
 def test_module_entry_point():

@@ -4,7 +4,14 @@ import random
 import pytest
 import sympy
 
-from menonk.factor import _MR_BASES, _MR_PROVEN_BOUND, _strong_probable_prime, factorize, is_prime
+from menonk.factor import (
+    _MR_BASES,
+    _MR_PROVEN_BOUND,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
+    factorize,
+    is_prime,
+)
 from menonk.limits import U128_MAX, Uint128OverflowError
 
 
@@ -56,6 +63,20 @@ def test_is_prime_strong_lucas_rejects_psi13():
     assert n == 1287836182261 * 2575672364521 == _MR_PROVEN_BOUND
     assert all(_strong_probable_prime(n, b) for b in _MR_BASES)
     assert is_prime(n) is False
+
+
+def test_strong_lucas_stage_on_its_own():
+    # The least strong Lucas pseudoprimes (OEIS A217255) pass the stage, so
+    # they pin the Selfridge parameter search; Miller-Rabin refuses them.
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_probable_prime(n), n
+        assert not is_prime(n), n
+    # The early exits: a perfect square, then a D with Jacobi symbol 0 (35 = 5 * 7).
+    assert not _strong_lucas_probable_prime(10007**2)
+    assert not _strong_lucas_probable_prime(35)
+    for n in (2**89 - 1, 2**107 - 1, 2**127 - 1):
+        assert n > _MR_PROVEN_BOUND
+        assert _strong_lucas_probable_prime(n) and is_prime(n), n
 
 
 def test_is_prime_matches_sympy_sampled():

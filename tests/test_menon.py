@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from menonk import arith
 from menonk.arith import (
     cohen_phi,
+    cohen_phi_bruteforce,
     d_s,
     d_s_k,
     divisor_count,
@@ -20,7 +21,9 @@ from menonk.arith import (
     gcd_pow_k,
     kth_gcd_classes,
     pillai,
+    pillai_bruteforce,
 )
+from menonk.batch import BatchRow, batch_table
 from menonk.limits import U128_MAX, ResourceLimitError, Uint128OverflowError
 from menonk.menon import (
     menon_closed_form,
@@ -31,7 +34,7 @@ from menonk.menon import (
     verify_prime_power,
     verify_unit_translation,
 )
-from menonk.residues import standard_residue_set
+from menonk.residues import crt_combine, standard_residue_set
 
 
 def test_brute_force_worked_sums():
@@ -290,3 +293,43 @@ def test_closed_forms_answer_or_refuse_at_the_domain_edges(m, s, k):
         except (ValueError, Uint128OverflowError):
             continue
         assert 0 <= value <= U128_MAX
+
+
+def _literal_edge_calls(m, s, k):
+    """The literal public API at (m, s, k): residue sets, oracles, batch_table, verifiers."""
+    return (
+        lambda: standard_residue_set(m, k).elements,
+        lambda: cohen_phi_bruteforce(m, k),
+        lambda: pillai_bruteforce(m, k),
+        lambda: list(batch_table(m, s, k, True)),
+        lambda: crt_combine(standard_residue_set(m, k), standard_residue_set(1, k)).elements,
+        lambda: verify_unit_translation(m, s, k, 7),
+        lambda: verify_menon_multiplicativity(m, 1, s, k),
+    )
+
+
+_M1_ANSWERS = ((1,), 1, 1, [BatchRow(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
+
+
+@pytest.mark.parametrize(
+    "calls, outcome",
+    [
+        *((_literal_edge_calls(1, s, 10**9), _M1_ANSWERS) for s in (2**200, -(2**200), 0)),
+        (_literal_edge_calls(2, 2**200, 10**9), Uint128OverflowError),
+        (_literal_edge_calls(2**128, 2**200, 1), Uint128OverflowError),
+        # a prime: the class gate refuses it before trial division, which would not end
+        (_literal_edge_calls(2**127 - 1, 2**200, 1), ResourceLimitError),
+        ((lambda: batch_table(10**9, 1, 1),), ResourceLimitError),  # the sieve bound
+    ],
+    ids=["m=1,s=2^200", "m=1,s=-2^200", "m=1,s=0", "m=2,k=10^9", "m=2^128", "m=2^127-1", "sieve"],
+)
+def test_literal_api_answers_or_refuses_at_the_domain_edges(calls, outcome):
+    start = time.perf_counter()
+    if isinstance(outcome, tuple):
+        assert [call() for call in calls] == list(outcome)
+    else:
+        for call in calls:
+            with pytest.raises(outcome):
+                call()
+    # no class past m = 1's is visited, so each case takes milliseconds
+    assert time.perf_counter() - start < 1.0
