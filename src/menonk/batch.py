@@ -151,6 +151,7 @@ def _rows(
     """
     rules = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     phi_rule, dsk_rule, pil_rule = rules
+    new_row = tuple.__new__  # BatchRow's own __new__ is a Python-level call per row
     local = {}
     for p in range(2, math.isqrt(n) + 1):
         if q[p] == p:
@@ -184,4 +185,4 @@ def _rows(
         if with_bruteforce:
             lhs = menon_sum_bruteforce(m, s, k, max_iterations)
             verified = lhs == rhs
-        yield BatchRow(m, phi_k, dsk, pil, lhs, rhs, verified)
+        yield new_row(BatchRow, (m, phi_k, dsk, pil, lhs, rhs, verified))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import click
@@ -146,24 +147,40 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
         ctx.exit(EXIT_VERIFY_FAILED)
 
 
-def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
-    """Yield the table's lines, each ending in a newline.
+_JSON_BOOLS = {True: "true", False: "false"}
 
-    A present cell is spelled as JSON spells it: ``str(v).lower()``, so
-    ints in decimal and bools as true/false.  An absent cell (brute force
-    off) is "" in csv and "-" in plain; json-lines leaves its key out.
+
+def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
+    """Yield the table's lines, each ending in a newline: csv and plain a header first.
+
+    Every row is spelled by one ``%`` over a template picked once, from
+    the first row, for the format and for brute force on or off (then
+    ``menon_lhs`` and ``verified`` are None in every row).  A present cell
+    is spelled as JSON spells it: ints in decimal, ``verified`` as
+    true/false by lookup.  An absent cell is fixed text in the template:
+    "" in csv and "-" in plain; json-lines leaves its key out.
     """
     columns = batch.BatchRow._fields
-    if fmt == "json-lines":
-        keys = [f'"{c}":' for c in columns]
-        for r in rows:
-            cells = [key + str(v).lower() for key, v in zip(keys, r) if v is not None]
-            yield "{" + ",".join(cells) + "}\n"
+    rows = iter(rows)
+    if fmt != "json-lines":
+        sep, absent = (",", "") if fmt == "csv" else (" ", "-")
+        yield sep.join(columns) + "\n"
+    first = next(rows, None)
+    if first is None:
         return
-    sep, absent = (",", "") if fmt == "csv" else (" ", "-")
-    yield sep.join(columns) + "\n"
-    for r in rows:
-        yield sep.join([absent if v is None else str(v).lower() for v in r]) + "\n"
+    if fmt == "json-lines":
+        cells = [f'"{c}":%s' for c, v in zip(columns, first) if v is not None]
+        template = "{" + ",".join(cells) + "}\n"
+    else:
+        template = sep.join(absent if v is None else "%s" for v in first) + "\n"
+    rows = chain((first,), rows)
+    if first.verified is None:
+        for m, phi_k, d_s_k, pillai_k, _, rhs, _ in rows:
+            yield template % (m, phi_k, d_s_k, pillai_k, rhs)
+    else:
+        spell = _JSON_BOOLS
+        for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rows:
+            yield template % (m, phi_k, d_s_k, pillai_k, lhs, rhs, spell[verified])
 
 
 @cli.command("table")

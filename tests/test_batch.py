@@ -1,3 +1,6 @@
+import functools
+import math
+
 import pytest
 
 from menonk import arith, batch
@@ -84,6 +87,52 @@ def test_batch_rows_take_the_prime_power_chain(monkeypatch):
     rows = list(batch_table(3000, 1, 2))
     assert [r.m for r in rows] == list(range(1, 3001))
     assert rows[-1].phi_k == (2**6 - 2**4) * (3**2 - 1) * (5**6 - 5**4)  # 3000 = 2^3 * 3 * 5^3
+
+
+def counting_rules(monkeypatch):
+    # Every rule that batch's three factories hand out appends its prime here.
+    calls = []
+
+    def counted(factory):
+        def make(*args):
+            rule = factory(*args)
+
+            @functools.wraps(rule)
+            def wrapper(p, v):
+                calls.append(p)
+                return rule(p, v)
+
+            return wrapper
+
+        return make
+
+    for name in ("cohen_phi_rule", "d_s_k_rule", "pillai_rule"):
+        monkeypatch.setattr(batch, name, counted(getattr(batch, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, cached, large", [(1, 0, 0), (2, 0, 1), (100, 14, 54), (10**4, 76, 6284)]
+)
+def test_batch_rule_calls_are_counted_exactly(monkeypatch, n, cached, large):
+    # Each rule is called once per cached prime power p^v <= n with p <= isqrt(n),
+    # and once per row with a prime factor above isqrt(n); no other row calls one.
+    root = math.isqrt(n)
+    small = [p for p in range(2, root + 1) if all(p % q for q in range(2, p))]
+
+    def above_root(m):
+        for p in small:
+            while m % p == 0:
+                m //= p
+        return m > 1
+
+    powers = sum(1 for p in small for v in range(1, n.bit_length()) if p**v <= n)
+    assert (powers, sum(map(above_root, range(1, n + 1)))) == (cached, large)
+    calls = counting_rules(monkeypatch)
+    rows = batch_table(n, -18, 2)
+    assert next(rows).m == 1 and len(calls) == 3 * cached  # the cache is filled first
+    assert sum(1 for _ in rows) == n - 1
+    assert len(calls) == 3 * (cached + large)
 
 
 def test_batch_overflow_after_streamed_rows():

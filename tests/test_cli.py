@@ -5,6 +5,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from menonk import arith, batch, cli, factor, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
 
@@ -291,6 +293,49 @@ def test_table_renders_failed_rows(capsys, monkeypatch):
     assert code == EXIT_OK and record["menon_lhs"] == 0 and record["verified"] is False
 
 
+_COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_lhs", "menon_rhs", "verified")
+
+
+def reference_table(rows, fmt):
+    # Spelled from the rows alone, cell by cell, the way the stdlib JSON encoder spells them.
+    if fmt == "json-lines":
+        return "".join(
+            json.dumps({c: v for c, v in zip(_COLUMNS, r) if v is not None}, separators=(",", ":"))
+            + "\n"
+            for r in rows
+        )
+    sep, absent = (",", "") if fmt == "csv" else (" ", "-")
+    lines = [sep.join(absent if v is None else json.dumps(v) for v in r) for r in rows]
+    return "".join(line + "\n" for line in [sep.join(_COLUMNS), *lines])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+def test_table_spellings_match_a_json_reference(capsys, fmt):
+    for n, s, k, bruteforce in (
+        (40, -6, 1, True), (40, -6, 1, False), (20, 65536, 16, False),
+    ):
+        flag = "--with-bruteforce" if bruteforce else "--no-bruteforce"
+        argv = ("table", "--n", str(n), "--s", str(s), "--k", str(k), "--format", fmt, flag)
+        rows = list(batch.batch_table(n, s, k, with_bruteforce=bruteforce))
+        assert invoke(capsys, *argv) == (EXIT_OK, reference_table(rows, fmt), ""), argv
+
+    # At k = 16 the brute-force columns are refused before any row, so their
+    # template is fed rows past 2^64 directly, with both verdicts.
+    argv = ("table", "--n", "20", "--s", "65536", "--k", "16", "--format", fmt)
+    code, out, _ = invoke(capsys, *argv, "--with-bruteforce")
+    assert (code, out) == (EXIT_LIMIT, "")
+    rows = [
+        r._replace(menon_lhs=r.menon_rhs + r.m % 2, verified=r.m % 2 == 0)
+        for r in batch.batch_table(20, 65536, 16)
+    ]
+    assert max(r.menon_lhs for r in rows) > 2**64
+    assert "".join(cli._render_rows(rows, fmt)) == reference_table(rows, fmt)
+
+    # No rows: csv and plain still give their header, json-lines nothing.
+    expected = [] if fmt == "json-lines" else [reference_table([], fmt)]
+    assert list(cli._render_rows(iter(()), fmt)) == expected
+
+
 def test_table_errors(capsys):
     code, _, err = invoke(capsys, "table", "--n", "0", "--s", "1", "--k", "1")
     assert code == EXIT_USAGE
@@ -340,6 +385,17 @@ def test_table_overflow_after_streamed_rows(tmp_path):
     proc = run_module(*argv, "--out", str(target), timeout=30)
     assert proc.returncode == EXIT_LIMIT and target.read_bytes() == b"kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_table_json_lines_overflow_after_streamed_rows():
+    # As for csv: the 215 records before P_16(216) are out, each whole, then exit 2.
+    argv = ("table", "--n", "255", "--s", "1", "--k", "16", "--no-bruteforce")
+    proc = run_module(*argv, "--format", "json-lines", timeout=30)
+    assert proc.returncode == EXIT_LIMIT
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["m"] for r in records] == list(range(1, 216))
+    assert proc.stdout.splitlines()[-1].startswith('{"m":215,')
+    assert "P_k" in proc.stderr
 
 
 def test_residues_examples(capsys):
