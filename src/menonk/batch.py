@@ -3,13 +3,15 @@
 The sieve is ``factor.smallest_prime_factors``, the one sieve in the
 package: fewer than N ln(N) / 2 array writes, all by C-level slice
 assignments rather than a Python loop per entry.  The rows then turn
-that array, in place and in ascending m, into the prime-power chain:
+that array in place, by more slice strokes, into the prime-power chain:
 q[m] is the power of m's smallest prime that exactly divides m, so
 m, m // q[m], ... walks m's prime powers with no division loop per row
 and no second array.  Every column is multiplicative, so a row is the
 product of its prime-power rules (arith's ``cohen_phi_rule``,
 ``d_s_k_rule`` and ``pillai_rule``, each written once) along that
-chain.  The Pillai column takes that multiplicative route rather than
+chain.  Rule values are cached for the powers of the primes up to
+isqrt(N) and for the larger primes up to N // 8, which recur.  The
+Pillai column takes that multiplicative route rather than
 arith.pillai's divisor sum, giving the table an independent path to
 cross-check.  ``BatchRow`` is a named tuple whose fields are the
 table's column order.
@@ -141,29 +143,30 @@ def _rows(
 ) -> Iterator[BatchRow]:
     """The rows, from the call's own spf array, which becomes the prime-power chain.
 
-    Walking m upwards, with p = spf[m] and j = m // p, q[m] is set to
-    q[j] * p if p | j (then spf[j] was p, and q[j] is p's part of j),
-    else to p: the power of m's smallest prime exactly dividing m.  Each
-    column is multiplicative, so a row is the product of its rule values
-    at q[m], q[m // q[m]], ...  Those of the prime powers of p <= isqrt(n)
-    are cached, a few hundred entries; a row has at most one prime factor
-    above isqrt(n), with v = 1, and its rules are called directly.
+    The primes p <= isqrt(n) are read off spf first.  Then, primes
+    descending and v = 1, 2, ... for each, one slice stroke sets
+    q[p^v::p^v] = p^v, so the last stroke on m leaves the power of m's
+    smallest prime that exactly divides m; a prime above isqrt(n) keeps
+    q[P] = P.  Each column is multiplicative, so a row is the product of
+    its rule values at q[m], q[m // q[m]], ...  Those of the prime powers
+    of p <= isqrt(n) are cached up front, a few hundred entries.  A row
+    has at most one prime factor P above isqrt(n), with v = 1; its rules
+    are cached at the first row P <= n // 8 meets (a larger P divides at
+    most 7 rows), and called directly above that.
     """
     rules = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     phi_rule, dsk_rule, pil_rule = rules
     new_row = tuple.__new__  # BatchRow's own __new__ is a Python-level call per row
+    primes = [p for p in range(2, math.isqrt(n) + 1) if q[p] == p]
     local = {}
-    for p in range(2, math.isqrt(n) + 1):
-        if q[p] == p:
-            pv, v = p, 1
-            while pv <= n:
-                local[pv] = tuple(rule(p, v) for rule in rules)
-                pv, v = pv * p, v + 1
+    for p in reversed(primes):
+        pv, v = p, 1
+        while pv <= n:
+            local[pv] = tuple(rule(p, v) for rule in rules)
+            q[pv::pv] = array("I", [pv]) * (n // pv)
+            pv, v = pv * p, v + 1
+    recurring = n // 8
     for m in range(1, n + 1):
-        if m > 1:
-            p = q[m]
-            j = m // p
-            q[m] = q[j] * p if j % p == 0 else p
         phi_k = dsk = pil = 1
         rest = m
         while rest > 1:
@@ -171,6 +174,8 @@ def _rows(
             at = local.get(f)
             if at is None:  # three calls: a tuple over a generator made the rows 20% slower
                 at = phi_rule(f, 1), dsk_rule(f, 1), pil_rule(f, 1)
+                if f <= recurring:
+                    local[f] = at
             phi_k *= at[0]
             dsk *= at[1]
             pil *= at[2]

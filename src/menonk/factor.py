@@ -7,7 +7,9 @@ which ``batch`` also tabulates with; the same primes screen
 3.317e24, a strong Lucas test for anything larger (no counterexample to
 the combined test is known anywhere, let alone below 2^128), and a
 Brent-cycle rho splitter driven by a fixed-seed generator so repeated
-calls factor identically.
+calls factor identically.  Each factorization may spend at most
+``_RHO_BUDGET`` modular squarings in rho; past that it refuses with
+``ResourceLimitError`` instead of running without bound.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 from array import array
 from functools import lru_cache
 
-from .limits import ensure_u128
+from .limits import ResourceLimitError, ensure_u128
 
 __all__ = ["is_prime", "factorize", "smallest_prime_factors"]
 
@@ -44,6 +46,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _RHO_SEED = 0x5EED
+# Modular squarings one factorization may spend in rho.  Over the bench's
+# compute-factor calls the most any rho call took was 220,926 (p99 198,654).
+_RHO_BUDGET = 1 << 22
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -137,8 +142,12 @@ def is_prime(n: int) -> bool:
     return _strong_lucas_probable_prime(n)
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of odd composite n with no tiny prime factors."""
+def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of odd composite n with no tiny prime factors, and the budget left.
+
+    The budget counts modular squarings; each block is charged before it
+    runs, so the per-squaring loops count nothing.
+    """
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -147,12 +156,15 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         x = ys = y
         while g == 1:
             x = y
+            budget = _charge(budget, r, n)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                block = min(m, r - k)
+                budget = _charge(budget, block, n)
+                for _ in range(block):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
@@ -161,10 +173,19 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         if g == n:
             g = 1
             while g == 1:
+                budget = _charge(budget, 1, n)
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if g != n:
-            return g
+            return g, budget
+
+
+def _charge(budget: int, squarings: int, n: int) -> int:
+    if squarings > budget:
+        raise ResourceLimitError(
+            f"rho found no factor of {n} within {_RHO_BUDGET} modular squarings"
+        )
+    return budget - squarings
 
 
 @lru_cache(maxsize=1 << 16)
@@ -179,19 +200,23 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         # Popping rho's d first draws the seeded rng in a fixed, depth-first order.
         rng = random.Random(_RHO_SEED)
+        budget = _RHO_BUDGET
         work = [n]
         while work:
             n = work.pop()
             if is_prime(n):
                 counts[n] = counts.get(n, 0) + 1
             else:
-                d = _brent_rho(n, rng)
+                d, budget = _brent_rho(n, rng, budget)
                 work += (n // d, d)
     return tuple(sorted(counts.items()))
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, v) with p**v || n >= 1, primes ascending; factorize(1) is ()."""
+    """The pairs (p, v) with p**v || n >= 1, primes ascending; factorize(1) is ().
+
+    Raises ResourceLimitError if rho spends ``_RHO_BUDGET`` squarings on n.
+    """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     if n < 0:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import pytest
 
@@ -112,11 +113,13 @@ def counting_rules(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, cached, large", [(1, 0, 0), (2, 0, 1), (100, 14, 54), (10**4, 76, 6284)]
+    "n, cached, recurring, rare",
+    [(1, 0, 0, 0), (2, 0, 0, 1), (100, 14, 1, 45), (10**4, 76, 179, 2096)],
 )
-def test_batch_rule_calls_are_counted_exactly(monkeypatch, n, cached, large):
+def test_batch_rule_calls_are_counted_exactly(monkeypatch, n, cached, recurring, rare):
     # Each rule is called once per cached prime power p^v <= n with p <= isqrt(n),
-    # and once per row with a prime factor above isqrt(n); no other row calls one.
+    # once per prime in (isqrt(n), n // 8], at the first row it divides, and once
+    # per row whose prime factor above isqrt(n) exceeds n // 8; no other row calls one.
     root = math.isqrt(n)
     small = [p for p in range(2, root + 1) if all(p % q for q in range(2, p))]
 
@@ -124,15 +127,33 @@ def test_batch_rule_calls_are_counted_exactly(monkeypatch, n, cached, large):
         for p in small:
             while m % p == 0:
                 m //= p
-        return m > 1
+        return m
 
     powers = sum(1 for p in small for v in range(1, n.bit_length()) if p**v <= n)
-    assert (powers, sum(map(above_root, range(1, n + 1)))) == (cached, large)
+    parts = list(map(above_root, range(1, n + 1)))
+    primes = sum(1 for m, part in enumerate(parts, 1) if part == m and root < m <= n // 8)
+    rows_above = sum(1 for part in parts if part > max(1, n // 8))
+    assert (powers, primes, rows_above) == (cached, recurring, rare)
     calls = counting_rules(monkeypatch)
     rows = batch_table(n, -18, 2)
     assert next(rows).m == 1 and len(calls) == 3 * cached  # the cache is filled first
     assert sum(1 for _ in rows) == n - 1
-    assert len(calls) == 3 * (cached + large)
+    assert len(calls) == 3 * (cached + recurring + rare)
+
+
+def test_batch_rows_peak_memory():
+    # The chain array holds 4 bytes a row, and a stroke building it at most 2 more;
+    # the rules cached for the primes up to n // 8 add about 4 (8.0 bytes a row in all,
+    # CPython 3.11).  Caching every prime up to n // 2 would take about 17.
+    n = 25_000
+    tracemalloc.start()
+    try:
+        for _ in batch_table(n, 1296, 4):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n, peak / n
 
 
 def test_batch_overflow_after_streamed_rows():

@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -80,6 +81,16 @@ def test_compute_limit_errors(capsys):
         capsys, "--max-iterations", "5", "compute", "menon-lhs", "--m", "12", "--s", "1", "--k", "1"
     )
     assert code == EXIT_LIMIT and "cap" in err
+
+
+def test_compute_refuses_a_semiprime_rho_cannot_split(capsys, monkeypatch):
+    monkeypatch.setattr(factor, "_RHO_BUDGET", 1 << 16)
+    hard = (2**61 - 1) * (2**64 - 59)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "compute", "phi", "--m", str(hard))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err == f"error: rho found no factor of {hard} within 65536 modular squarings\n"
 
 
 def test_verify_single_point(capsys):

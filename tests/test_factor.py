@@ -1,9 +1,11 @@
 import math
 import random
+import time
 
 import pytest
 import sympy
 
+from menonk import factor, gcd_pow_k
 from menonk.factor import (
     _MR_BASES,
     _MR_PROVEN_BOUND,
@@ -12,7 +14,7 @@ from menonk.factor import (
     factorize,
     is_prime,
 )
-from menonk.limits import U128_MAX, Uint128OverflowError
+from menonk.limits import U128_MAX, ResourceLimitError, Uint128OverflowError
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -139,3 +141,22 @@ def test_factorize_domain_errors():
         factorize(-12)
     with pytest.raises(Uint128OverflowError):
         factorize(U128_MAX + 2)
+
+
+def test_rho_budget_refuses_the_hard_semiprime(monkeypatch):
+    # Two primes of 61 and 64 bits: rho would need about 2^30 squarings to split them.
+    hard = (2**61 - 1) * (2**64 - 59)
+    monkeypatch.setattr(factor, "_RHO_BUDGET", 1 << 16)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"no factor of {hard} within 65536 "):
+        gcd_pow_k(0, hard, 2)
+    assert time.perf_counter() - start < 1
+
+
+def test_rho_refusal_is_not_cached(monkeypatch):
+    n = (2**30 - 35) * (2**61 - 1)  # a 30-bit factor: about 2^15 squarings
+    with monkeypatch.context() as patch:
+        patch.setattr(factor, "_RHO_BUDGET", 1 << 8)
+        with pytest.raises(ResourceLimitError, match=f"no factor of {n} within 256 "):
+            factorize(n)
+    assert factorize(n) == ((2**30 - 35, 1), (2**61 - 1, 1))
