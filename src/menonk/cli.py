@@ -2,7 +2,11 @@
 
 Exit codes: 0 success (and, for verify, zero failures); 1 usage error;
 2 overflow or iteration/memory cap; 3 verification failure.  Output is
-byte-deterministic for fixed inputs and format.
+byte-deterministic for fixed inputs and format.  Lines are written with
+``print``, not ``click.echo``: echo caches a wrapper per ``sys.stdout``
+object in a ``WeakKeyDictionary`` whose value is the stream itself, so
+every in-process ``run`` under a fresh redirected stream would keep
+that stream, and all it captured, alive.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ def cmd_compute(ctx, function: str, m: int | None, s: int | None, k: int | None)
     for name, value in given.items():
         if value is not None and name not in required:
             raise click.UsageError(f"{function} does not take --{name}")
-    click.echo(evaluate(m, s, k, ctx.obj["max_iterations"]))
+    print(evaluate(m, s, k, ctx.obj["max_iterations"]))
 
 
 @cli.command("verify")
@@ -137,12 +141,12 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
                 if lhs == rhs:
                     passed += 1
                     if verbose:
-                        click.echo(f"ok m={m} s={s} k={k} lhs={lhs} rhs={rhs}")
+                        print(f"ok m={m} s={s} k={k} lhs={lhs} rhs={rhs}")
                 else:
                     failed += 1
-                    click.echo(f"FAIL m={m} s={s} k={k}: lhs={lhs} rhs={rhs}")
+                    print(f"FAIL m={m} s={s} k={k}: lhs={lhs} rhs={rhs}")
             del lhss  # frees this modulus' mask before the next one is built
-    click.echo(f"checked={checked} passed={passed} failed={failed} skipped={skipped}")
+    print(f"checked={checked} passed={passed} failed={failed} skipped={skipped}")
     if failed:
         ctx.exit(EXIT_VERIFY_FAILED)
 
@@ -234,7 +238,7 @@ def cmd_residues(ctx, m: int, k: int) -> None:
     if m < 1 or k < 1:
         raise click.UsageError("--m and --k must be positive integers")
     residue_set = standard_residue_set(m, k, ctx.obj["max_iterations"])
-    click.echo(" ".join(str(a) for a in residue_set.elements))
+    print(" ".join(str(a) for a in residue_set.elements))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -247,10 +251,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         exc.show()
         return EXIT_USAGE
     except (Uint128OverflowError, ResourceLimitError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return result if isinstance(result, int) else EXIT_OK
 

@@ -2,14 +2,17 @@
 
 The pipeline is deterministic end to end: trial division by the primes
 up to a fixed bound, read off ``smallest_prime_factors`` (the one sieve,
-which ``batch`` also tabulates with; the same primes screen
-``is_prime``), Miller-Rabin over a witness set proven complete below
-3.317e24, a strong Lucas test for anything larger (no counterexample to
-the combined test is known anywhere, let alone below 2^128), and a
-Brent-cycle rho splitter driven by a fixed-seed generator so repeated
-calls factor identically.  Each factorization may spend at most
-``_RHO_BUDGET`` modular squarings in rho; past that it refuses with
-``ResourceLimitError`` instead of running without bound.
+which ``batch`` also tabulates with and stage 2 below reads its primes
+from; the same primes screen ``is_prime``), Miller-Rabin over a witness
+set proven complete below 3.317e24, a strong Lucas test for anything
+larger (no counterexample to the combined test is known anywhere, let
+alone below 2^128), a perfect-power check, and Lenstra's elliptic-curve
+method (Montgomery curves, Suyama's parametrisation, stage 1 and a
+baby-step giant-step stage 2) drawing its curves from a fixed-seed
+generator, so repeated calls factor identically.  Each factorization
+may spend at most ``_ECM_BUDGET`` modular reductions on curves; past
+that it refuses with ``ResourceLimitError`` instead of running without
+bound.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_right
 from functools import lru_cache
 
 from .limits import ResourceLimitError, ensure_u128
@@ -45,10 +49,12 @@ _SMALL_PRIMES = tuple(p for p, q in enumerate(smallest_prime_factors(_TRIAL_BOUN
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
-_RHO_SEED = 0x5EED
-# Modular squarings one factorization may spend in rho.  Over the bench's
-# compute-factor calls the most any rho call took was 220,926 (p99 198,654).
-_RHO_BUDGET = 1 << 22
+_ECM_SEED = 0x5EED
+# Modular reductions one factorization may spend on elliptic curves.  Over
+# the bench's compute-factor splits the most any took was 166,195 (median
+# 15,222, p99 107,260).
+_ECM_BUDGET = 1 << 22
+_D = 210  # stage 2's giant step; its baby steps are the odd j < D/2 prime to D
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -142,50 +148,108 @@ def is_prime(n: int) -> bool:
     return _strong_lucas_probable_prime(n)
 
 
-def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
-    """A nontrivial factor of odd composite n with no tiny prime factors, and the budget left.
+def _ladder(k: int, p: tuple[int, int], a24: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(k*P, (k+1)*P) in x-only coordinates (X, Z), for k >= 1.
 
-    The budget counts modular squarings; each block is charged before it
-    runs, so the per-squaring loops count nothing.
+    4 reductions, then 8 for each bit of k after the leading one.  The
+    doubling and the addition are written out here: calling ``_xadd``
+    costs about a fifth more a bit.
     """
+    x, z = p
+    x1, z1 = p
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    x2, z2 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+    swapped = "0"
+    for bit in bin(k)[3:]:
+        if bit != swapped:
+            x1, z1, x2, z2 = x2, z2, x1, z1
+            swapped = bit
+        s, d = x1 + z1, x1 - z1
+        u, v = (x2 - z2) * s % n, (x2 + z2) * d % n
+        x2, z2 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s, d = s * s % n, d * d % n
+        x1, z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+    if swapped == "1":
+        x1, z1, x2, z2 = x2, z2, x1, z1
+    return (x1, z1), (x2, z2)
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
+    """P + Q from P, Q and P - Q: 4 reductions."""
+    u, v = (p[0] - p[1]) * (q[0] + q[1]) % n, (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+@lru_cache(maxsize=None)
+def _stage2_plan(limit: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The primes below limit, and for each i the odd j < D/2 with i*D - j or i*D + j among them.
+
+    Called with powers of two only, so a growing B2 sieves again only when it doubles.
+    """
+    primes = [p for p, q in enumerate(smallest_prime_factors(limit)) if p == q > 1]
+    plan: list[set[int]] = [set() for _ in range((limit + _D // 2) // _D + 1)]
+    for p in primes:
+        i, r = divmod(p + _D // 2, _D)
+        plan[i].add(abs(r - _D // 2))
+    return primes, [tuple(sorted(js)) for js in plan]
+
+
+def _ecm_split(n: int, rng: random.Random, budget: int) -> tuple[list[int], int]:
+    """Factors > 1 with product n, for odd composite n with no prime below _TRIAL_BOUND, and the budget left.
+
+    A perfect power r**e comes back as e copies of r (on x-only curves
+    the gcd for p**2 comes out as n itself).  Any other n goes to
+    Lenstra's elliptic-curve method on Montgomery curves with Suyama's
+    parametrisation, B1 growing 10% a curve and B2 = 50*B1.  The budget
+    counts modular reductions; each curve is charged an upper bound on
+    its own before it runs.
+    """
+    for e in range(2, 10):  # n < 2^128 has no prime below 10^4, so e <= 9
+        r = math.isqrt(n) if e == 2 else round(n ** (1 / e))
+        for c in (r - 1, r, r + 1):
+            if c**e == n:
+                return [c] * e, budget
+    b1 = 150.0  # above D/2, so the giant steps start at i = 1
     while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            budget = _charge(budget, r, n)
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                block = min(m, r - k)
-                budget = _charge(budget, block, n)
-                for _ in range(block):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                budget = _charge(budget, 1, n)
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g, budget
-
-
-def _charge(budget: int, squarings: int, n: int) -> int:
-    if squarings > budget:
-        raise ResourceLimitError(
-            f"rho found no factor of {n} within {_RHO_BUDGET} modular squarings"
-        )
-    return budget - squarings
+        primes, plan = _stage2_plan(1 << int(50 * b1).bit_length())
+        k = math.prod(p ** int(math.log(b1, p)) for p in primes[: bisect_right(primes, b1)])
+        i_lo, i_hi = (int(b1) + _D // 2) // _D, (int(50 * b1) + _D // 2) // _D
+        giants = plan[i_lo : i_hi + 1]
+        # The ladders, giant steps and stage-2 products, plus 300 for the fixed steps.
+        cost = 8 * (k.bit_length() + i_hi.bit_length()) + 4 * len(giants) + sum(map(len, giants)) + 300
+        if cost > budget:
+            raise ResourceLimitError(
+                f"ECM found no factor of {n} within {_ECM_BUDGET} modular reductions"
+            )
+        budget -= cost
+        sigma = rng.randrange(6, n - 1)
+        u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+        den = 16 * u**3 * v**4 % n
+        g = math.gcd(den, n)
+        if g == 1:
+            inv = pow(den, -1, n)
+            a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inv % n
+            q, _ = _ladder(k, (16 * u**6 * v * inv % n, 1), a24, n)
+            g = math.gcd(q[1], n)
+            if g == 1:
+                # Stage 2.  If Q has order i*D +- j modulo a prime factor, then
+                # x(i*D*Q) = x(j*Q) there, and the term X_G*Z_j - X_j*Z_G vanishes.
+                q2, _ = _ladder(2, q, a24, n)
+                babies = {1: q, 3: _xadd(q2, q, q, n)}
+                for j in range(5, _D // 2, 2):
+                    babies[j] = _xadd(babies[j - 2], q2, babies[j - 4], n)
+                dq, _ = _ladder(_D, q, a24, n)
+                giant, after = _ladder(i_lo, dq, a24, n)
+                for js in giants:
+                    xg, zg = giant
+                    for j in js:
+                        xj, zj = babies[j]
+                        g = g * (xg * zj - xj * zg) % n
+                    giant, after = after, _xadd(after, dq, giant, n)
+                g = math.gcd(g, n)
+        if 1 < g < n:
+            return [g, n // g], budget
+        b1 *= 1.1
 
 
 @lru_cache(maxsize=1 << 16)
@@ -198,24 +262,24 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
             counts[p] = counts.get(p, 0) + 1
             n //= p
     if n > 1:
-        # Popping rho's d first draws the seeded rng in a fixed, depth-first order.
-        rng = random.Random(_RHO_SEED)
-        budget = _RHO_BUDGET
+        # Popping the last factor first draws the seeded rng in a fixed, depth-first order.
+        rng = random.Random(_ECM_SEED)
+        budget = _ECM_BUDGET
         work = [n]
         while work:
             n = work.pop()
             if is_prime(n):
                 counts[n] = counts.get(n, 0) + 1
             else:
-                d, budget = _brent_rho(n, rng, budget)
-                work += (n // d, d)
+                factors, budget = _ecm_split(n, rng, budget)
+                work += factors
     return tuple(sorted(counts.items()))
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The pairs (p, v) with p**v || n >= 1, primes ascending; factorize(1) is ().
 
-    Raises ResourceLimitError if rho spends ``_RHO_BUDGET`` squarings on n.
+    Raises ResourceLimitError if the curves spend ``_ECM_BUDGET`` reductions on n.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")

@@ -1,9 +1,13 @@
+import contextlib
+import gc
+import io
 import json
 import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -84,13 +88,34 @@ def test_compute_limit_errors(capsys):
 
 
 def test_compute_refuses_a_semiprime_rho_cannot_split(capsys, monkeypatch):
-    monkeypatch.setattr(factor, "_RHO_BUDGET", 1 << 16)
+    monkeypatch.setattr(factor, "_ECM_BUDGET", 1 << 16)
     hard = (2**61 - 1) * (2**64 - 59)
     start = time.perf_counter()
     code, out, err = invoke(capsys, "compute", "phi", "--m", str(hard))
     assert time.perf_counter() - start < 1
     assert (code, out) == (EXIT_LIMIT, "")
-    assert err == f"error: rho found no factor of {hard} within 65536 modular squarings\n"
+    assert err == f"error: ECM found no factor of {hard} within 65536 modular reductions\n"
+
+
+def test_run_keeps_no_redirected_stream():
+    # An in-process caller that captures each call (as the bench worker does)
+    # must get its streams back: after output, a refusal, a domain error and
+    # a usage error click reports itself.
+    refs = []
+    for argv, code in (
+        (["compute", "phi", "--m", "12"], EXIT_OK),
+        (["compute", "cohen-phi", "--m", str(2**127 - 1), "--k", "2"], EXIT_LIMIT),
+        (["compute", "phi", "--m", "0"], EXIT_USAGE),
+        (["compute", "nope"], EXIT_USAGE),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(argv) == code
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_verify_single_point(capsys):

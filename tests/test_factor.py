@@ -4,6 +4,8 @@ import time
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menonk import factor, gcd_pow_k
 from menonk.factor import (
@@ -114,7 +116,7 @@ def test_factorize_invariants_sampled():
 
 
 def test_factorize_at_the_trial_bound():
-    # 9973 is the last prime trial division reaches; 10007 the first that rho must split off.
+    # 9973 is the last prime trial division reaches; 10007 the first that the curves must split off.
     for n in (
         9973**2,
         9973 * 10007,
@@ -125,6 +127,11 @@ def test_factorize_at_the_trial_bound():
         97 * 101,
         101**2,
         (2**31 - 1) ** 2 * 10007,
+        # x-only curves cannot split p**2 (the gcd comes out as n), so these
+        # take the perfect-power step, whole or after a split.
+        (2**61 - 1) ** 2,
+        (2**31 - 1) ** 3,
+        10007**2 * (2**61 - 1),
     ):
         assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
 
@@ -132,6 +139,14 @@ def test_factorize_at_the_trial_bound():
 def test_factorize_deterministic():
     n = (10**9 + 7) * (10**9 + 9) * 97
     assert factorize(n) == factorize(n) == ((97, 1), (10**9 + 7, 1), (10**9 + 9, 1))
+    # From a cold cache the seeded curves are drawn again: the same factor comes
+    # out of the splitter after the same number of reductions.
+    n = (2**31 - 1) * (10**9 + 7) * (2**40 - 87)
+    first = factorize(n)
+    factor._factor_pairs.cache_clear()
+    assert factorize(n) == first == tuple(sorted(sympy.factorint(n).items()))
+    runs = [factor._ecm_split(n, random.Random(factor._ECM_SEED), 1 << 22) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][1] < 1 << 22
 
 
 def test_factorize_domain_errors():
@@ -143,20 +158,47 @@ def test_factorize_domain_errors():
         factorize(U128_MAX + 2)
 
 
+def test_factorize_balanced_95_bit_semiprimes():
+    # The curves must find a 47-bit factor; the other is 48 bits.
+    for p, q in ((74851659936101, 272981738224691), (121646081938081, 266546221531409)):
+        n = p * q
+        assert (p.bit_length(), q.bit_length(), n.bit_length()) == (47, 48, 95)
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items())) == ((p, 1), (q, 1))
+
+
+def test_stage2_plan_covers_every_prime():
+    for limit in (1 << 10, 1 << 13, 1 << 16):
+        primes, plan = factor._stage2_plan(limit)
+        assert primes == list(sympy.primerange(limit))
+        covered = {i * factor._D + sign * j for i, js in enumerate(plan) for j in js for sign in (-1, 1)}
+        assert set(primes[4:]) <= covered
+        assert all(math.gcd(j, factor._D) == 1 for js in plan[1:] for j in js)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.lists(st.integers(2**13, 2**40 - 1).map(sympy.nextprime), min_size=2, max_size=3))
+def test_factorize_hard_composites(primes):
+    n = math.prod(primes)
+    assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), primes
+
+
 def test_rho_budget_refuses_the_hard_semiprime(monkeypatch):
-    # Two primes of 61 and 64 bits: rho would need about 2^30 squarings to split them.
+    # Two primes of 61 and 64 bits: the seeded curves split them only after
+    # about 11.5 million reductions, past the default 2^22, let alone 2^16.
     hard = (2**61 - 1) * (2**64 - 59)
-    monkeypatch.setattr(factor, "_RHO_BUDGET", 1 << 16)
+    monkeypatch.setattr(factor, "_ECM_BUDGET", 1 << 16)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=f"no factor of {hard} within 65536 "):
+    message = f"ECM found no factor of {hard} within 65536 modular reductions"
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
         gcd_pow_k(0, hard, 2)
     assert time.perf_counter() - start < 1
 
 
 def test_rho_refusal_is_not_cached(monkeypatch):
-    n = (2**30 - 35) * (2**61 - 1)  # a 30-bit factor: about 2^15 squarings
+    n = (2**30 - 35) * (2**61 - 1)  # a 30-bit factor: six curves, 21,656 reductions; 4096 runs one
     with monkeypatch.context() as patch:
-        patch.setattr(factor, "_RHO_BUDGET", 1 << 8)
-        with pytest.raises(ResourceLimitError, match=f"no factor of {n} within 256 "):
+        patch.setattr(factor, "_ECM_BUDGET", 1 << 12)
+        message = f"ECM found no factor of {n} within 4096 modular reductions"
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
             factorize(n)
     assert factorize(n) == ((2**30 - 35, 1), (2**61 - 1, 1))

@@ -250,8 +250,10 @@ def test_identity_holds_at_huge_shifts(m, s, k):
 
 
 # factorize splits these off in milliseconds and leaves the one large prime
-# whole, so no example waits on rho for a hard composite (rho has no step
-# budget yet; a 32-bit factor next to a large prime alone costs about 0.2 s).
+# whole, so no example waits on the elliptic curves for a hard composite.
+# Those are drawn in test_factor.py; factor._ECM_BUDGET bounds each one at
+# 2^22 modular reductions, and a 32-bit factor next to a 95-bit prime took
+# 2-92 ms over ten draws.
 _SMOOTH_PRIMES = (2, 3, 5, 7, 251, 65521, 1000003)
 _MAX_MODULUS = 2**128 + 2**20
 
