@@ -28,6 +28,8 @@ EXIT_USAGE = 1
 EXIT_LIMIT = 2
 EXIT_VERIFY_FAILED = 3
 
+_RESIDUE_BLOCK = 1 << 12  # members `residues` writes at a time
+
 # function name -> (required parameter names, evaluator)
 _COMPUTE_FUNCTIONS = {
     "phi": (("m",), lambda m, s, k, cap: arith.euler_phi(m)),
@@ -237,8 +239,13 @@ def cmd_residues(ctx, m: int, k: int) -> None:
     """Print the standard k-th power reduced residue set modulo m."""
     if m < 1 or k < 1:
         raise click.UsageError("--m and --k must be positive integers")
-    residue_set = standard_residue_set(m, k, ctx.obj["max_iterations"])
-    print(" ".join(str(a) for a in residue_set.elements))
+    elements = standard_residue_set(m, k, ctx.obj["max_iterations"]).elements
+    # The text goes out a block at a time, not as a str per member plus one joined line.
+    sep = ""
+    for o in range(0, len(elements), _RESIDUE_BLOCK):
+        sys.stdout.write(sep + " ".join(map(str, elements[o : o + _RESIDUE_BLOCK])))
+        sep = " "
+    sys.stdout.write("\n")
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -2,17 +2,17 @@
 
 The pipeline is deterministic end to end: trial division by the primes
 up to a fixed bound, read off ``smallest_prime_factors`` (the one sieve,
-which ``batch`` also tabulates with and stage 2 below reads its primes
-from; the same primes screen ``is_prime``), Miller-Rabin over a witness
-set proven complete below 3.317e24, a strong Lucas test for anything
-larger (no counterexample to the combined test is known anywhere, let
-alone below 2^128), a perfect-power check, and Lenstra's elliptic-curve
-method (Montgomery curves, Suyama's parametrisation, stage 1 and a
-baby-step giant-step stage 2) drawing its curves from a fixed-seed
-generator, so repeated calls factor identically.  Each factorization
-may spend at most ``_ECM_BUDGET`` modular reductions on curves; past
-that it refuses with ``ResourceLimitError`` instead of running without
-bound.
+which ``batch`` also tabulates with; the same primes screen ``is_prime``
+and give stage 1 below its primes), Miller-Rabin over a witness set
+proven complete below 3.317e24, a strong Lucas test for anything larger
+(no counterexample to the combined test is known anywhere, let alone
+below 2^128), a perfect-power check, and Lenstra's elliptic-curve method
+(Montgomery curves, Suyama's parametrisation, stage 1 and a baby-step
+giant-step stage 2 on normalized x-coordinates, which needs no prime
+list) drawing its curves from a fixed-seed generator, so repeated calls
+factor identically.  Each factorization may spend at most
+``_ECM_BUDGET`` modular reductions on curves; past that it refuses with
+``ResourceLimitError`` instead of running without bound.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _ECM_SEED = 0x5EED
 # Modular reductions one factorization may spend on elliptic curves.  Over
-# the bench's compute-factor splits the most any took was 166,195 (median
-# 15,222, p99 107,260).
+# the bench's compute-factor splits the most any was charged was 192,532
+# (median 15,176, p99 123,804), 21 times under this bound.
 _ECM_BUDGET = 1 << 22
-_D = 210  # stage 2's giant step; its baby steps are the odd j < D/2 prime to D
+_D = 210  # stage 2's giant step: each prime p > D/2 is i*D +- j for one of the 24 _BABIES j
+_BABIES = tuple(j for j in range(1, _D // 2, 2) if math.gcd(j, _D) == 1)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -180,18 +181,21 @@ def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int)
     return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
 
 
-@lru_cache(maxsize=None)
-def _stage2_plan(limit: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The primes below limit, and for each i the odd j < D/2 with i*D - j or i*D + j among them.
+def _normalize(points: list[tuple[int, int]], n: int) -> tuple[list[int], int]:
+    """([X/Z mod n for each point (X, Z)], 1), or ([], g) if g = gcd(prod Z, n) > 1.
 
-    Called with powers of two only, so a growing B2 sieves again only when it doubles.
+    Montgomery's simultaneous inversion: one ``pow(-1)`` and 3 reductions a point.
     """
-    primes = [p for p, q in enumerate(smallest_prime_factors(limit)) if p == q > 1]
-    plan: list[set[int]] = [set() for _ in range((limit + _D // 2) // _D + 1)]
-    for p in primes:
-        i, r = divmod(p + _D // 2, _D)
-        plan[i].add(abs(r - _D // 2))
-    return primes, [tuple(sorted(js)) for js in plan]
+    prefix = [1]
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    g = math.gcd(prefix[-1], n)
+    if g > 1:
+        return [], g
+    inv, xs = pow(prefix[-1], -1, n), [0] * len(points)
+    for t in range(len(points) - 1, -1, -1):
+        xs[t], inv = points[t][0] * inv * prefix[t] % n, inv * points[t][1] % n
+    return xs, 1
 
 
 def _ecm_split(n: int, rng: random.Random, budget: int) -> tuple[list[int], int]:
@@ -201,8 +205,7 @@ def _ecm_split(n: int, rng: random.Random, budget: int) -> tuple[list[int], int]
     the gcd for p**2 comes out as n itself).  Any other n goes to
     Lenstra's elliptic-curve method on Montgomery curves with Suyama's
     parametrisation, B1 growing 10% a curve and B2 = 50*B1.  The budget
-    counts modular reductions; each curve is charged an upper bound on
-    its own before it runs.
+    counts modular reductions; each curve is charged its bound before it runs.
     """
     for e in range(2, 10):  # n < 2^128 has no prime below 10^4, so e <= 9
         r = math.isqrt(n) if e == 2 else round(n ** (1 / e))
@@ -211,41 +214,39 @@ def _ecm_split(n: int, rng: random.Random, budget: int) -> tuple[list[int], int]
                 return [c] * e, budget
     b1 = 150.0  # above D/2, so the giant steps start at i = 1
     while True:
-        primes, plan = _stage2_plan(1 << int(50 * b1).bit_length())
+        primes = _SMALL_PRIMES
+        if b1 >= _TRIAL_BOUND:
+            primes = [p for p, q in enumerate(smallest_prime_factors(int(b1))) if p == q > 1]
         k = math.prod(p ** int(math.log(b1, p)) for p in primes[: bisect_right(primes, b1)])
         i_lo, i_hi = (int(b1) + _D // 2) // _D, (int(50 * b1) + _D // 2) // _D
-        giants = plan[i_lo : i_hi + 1]
-        # The ladders, giant steps and stage-2 products, plus 300 for the fixed steps.
-        cost = 8 * (k.bit_length() + i_hi.bit_length()) + 4 * len(giants) + sum(map(len, giants)) + 300
+        # The ladders, 32 a giant (step, normalization, a reduction a term), 4 a baby and 300 fixed.
+        cost = 8 * (k.bit_length() + i_hi.bit_length()) + 32 * (i_hi - i_lo + 1) + 4 * len(_BABIES) + 300
         if cost > budget:
-            raise ResourceLimitError(
-                f"ECM found no factor of {n} within {_ECM_BUDGET} modular reductions"
-            )
+            raise ResourceLimitError(f"ECM found no factor of {n} within {_ECM_BUDGET} modular reductions")
         budget -= cost
         sigma = rng.randrange(6, n - 1)
         u, v = (sigma * sigma - 5) % n, 4 * sigma % n
-        den = 16 * u**3 * v**4 % n
-        g = math.gcd(den, n)
+        den = 16 * u**3 * v**4 % n  # (A+2)/4 and the starting x are over den
+        xs, g = _normalize([((v - u) ** 3 * (3 * u + v) * v**3, den), (16 * u**6 * v, den)], n)
         if g == 1:
-            inv = pow(den, -1, n)
-            a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inv % n
-            q, _ = _ladder(k, (16 * u**6 * v * inv % n, 1), a24, n)
+            a24, x0 = xs
+            q, _ = _ladder(k, (x0, 1), a24, n)
             g = math.gcd(q[1], n)
             if g == 1:
-                # Stage 2.  If Q has order i*D +- j modulo a prime factor, then
-                # x(i*D*Q) = x(j*Q) there, and the term X_G*Z_j - X_j*Z_G vanishes.
-                q2, _ = _ladder(2, q, a24, n)
-                babies = {1: q, 3: _xadd(q2, q, q, n)}
-                for j in range(5, _D // 2, 2):
-                    babies[j] = _xadd(babies[j - 2], q2, babies[j - 4], n)
+                # Stage 2: if Q's order modulo a prime p | n divides i*D +- j, p | x(i*D*Q) - x(j*Q).
+                q2, q3 = _ladder(2, q, a24, n)
+                odd = [q, q3]  # j*Q for odd j < D/2
+                while len(odd) < _D // 4:
+                    odd.append(_xadd(odd[-1], q2, odd[-2], n))
                 dq, _ = _ladder(_D, q, a24, n)
-                giant, after = _ladder(i_lo, dq, a24, n)
-                for js in giants:
-                    xg, zg = giant
-                    for j in js:
-                        xj, zj = babies[j]
-                        g = g * (xg * zj - xj * zg) % n
-                    giant, after = after, _xadd(after, dq, giant, n)
+                giants = list(_ladder(i_lo, dq, a24, n))  # i*D*Q for i_lo <= i <= i_hi
+                while len(giants) <= i_hi - i_lo:
+                    giants.append(_xadd(giants[-1], dq, giants[-2], n))
+                xs, g = _normalize([odd[j // 2] for j in _BABIES] + giants, n)
+                quads = list(zip(*[iter(xs[: len(_BABIES)])] * 4))  # four terms share a reduction
+                for xg in xs[len(_BABIES) :]:
+                    for a, b, c, d in quads:
+                        g = g * ((xg - a) * (xg - b) * (xg - c) * (xg - d)) % n
                 g = math.gcd(g, n)
         if 1 < g < n:
             return [g, n // g], budget

@@ -27,11 +27,11 @@ DEFAULT_MAX_ITERATIONS = 10_000_000
 #: at 2.0 for m = 4 * 10**6, k = 1, so at most about 67 MB.  The
 #: standard residue set also holds its members: it peaks at 31.6 and
 #: 18.2 bytes a class there, and at 42.2 for the prime m = 3999971,
-#: k = 1, about 1.4 GB at this bound.  The ``residues`` command holds a
-#: str per member and the joined line on top of that tuple: its max RSS
-#: was 1178 MB for the prime m = 9999991, k = 1, 10**7 classes (about
-#: 118 bytes a class; 2 cores, CPython 3.11.7).  At this bound that
-#: extrapolates to about 3.9 GB; that case was not run.
+#: k = 1, about 1.4 GB at this bound.  The ``residues`` command writes
+#: that tuple's text a block at a time: its max RSS was 431 MB for the
+#: prime m = 9999991, k = 1, 10**7 classes (about 43 bytes a class;
+#: 2 cores, CPython 3.11.7).  At this bound that extrapolates to about
+#: 1.4 GB; that case was not run.
 MAX_TABLE_CLASSES = 2**25
 
 #: Environment variable the CLI reads as its default --max-iterations.

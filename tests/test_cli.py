@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -440,6 +441,26 @@ def test_residues_examples(capsys):
     code, out, _ = invoke(capsys, "residues", "--m", "4", "--k", "2")
     values = [int(x) for x in out.split()]
     assert len(values) == 12 and all(v % 4 != 0 for v in values)
+
+
+def test_residues_text_spans_blocks(capsys):
+    # 100002 members, so the text is written in many blocks: the same bytes as one joined line.
+    expected = " ".join(map(str, range(1, 100003))) + "\n"
+    assert invoke(capsys, "residues", "--m", "100003", "--k", "1") == (EXIT_OK, expected, "")
+
+
+def test_residues_peak_memory():
+    # The set's tuple of ints costs about 43 bytes a class; a str per member and one
+    # joined line on top of it took about 110, which the block-wise text must not return to.
+    m = 300007
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert run(["residues", "--m", str(m), "--k", "1"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 48 * m
 
 
 def test_residues_cap(capsys):

@@ -166,13 +166,50 @@ def test_factorize_balanced_95_bit_semiprimes():
         assert factorize(n) == tuple(sorted(sympy.factorint(n).items())) == ((p, 1), (q, 1))
 
 
-def test_stage2_plan_covers_every_prime():
-    for limit in (1 << 10, 1 << 13, 1 << 16):
-        primes, plan = factor._stage2_plan(limit)
-        assert primes == list(sympy.primerange(limit))
-        covered = {i * factor._D + sign * j for i, js in enumerate(plan) for j in js for sign in (-1, 1)}
-        assert set(primes[4:]) <= covered
-        assert all(math.gcd(j, factor._D) == 1 for js in plan[1:] for j in js)
+def test_normalize_gives_x_over_z_or_a_factor():
+    rng = random.Random(19)
+    p, q = 1000003, 2**61 - 1
+    n = p * q
+    points = [(rng.randrange(n), rng.randrange(1, n)) for _ in range(40)]
+    points = [(x, z) for x, z in points if math.gcd(z, n) == 1]
+    assert factor._normalize(points, n) == ([x * pow(z, -1, n) % n for x, z in points], 1)
+    assert factor._normalize([], n) == ([], 1)
+    # One Z on a multiple of p: no quotients, and the gcd that comes back splits off p.
+    points[17] = (points[17][0], p * rng.randrange(1, q))
+    assert factor._normalize(points, n) == ([], p)
+
+
+def test_stage2_covers_every_prime_without_a_list():
+    assert len(factor._BABIES) == 24 and all(math.gcd(j, factor._D) == 1 for j in factor._BABIES)
+    for b1 in (150, 1000, 9000):
+        # The giant steps _ecm_split takes for B1 = b1 and B2 = 50*b1.
+        i_lo, i_hi = (b1 + factor._D // 2) // factor._D, (50 * b1 + factor._D // 2) // factor._D
+        covered = {
+            i * factor._D + sign * j
+            for i in range(i_lo, i_hi + 1)
+            for j in factor._BABIES
+            for sign in (-1, 1)
+        }
+        assert set(sympy.primerange(b1 + 1, 50 * b1 + 1)) <= covered
+
+
+class CountingModulus(int):
+    """A modulus that counts the reductions taken by it."""
+
+    count = 0
+
+    def __rmod__(self, other):
+        self.count += 1
+        return int.__rmod__(self, other)
+
+
+def test_ecm_charge_bounds_the_reductions():
+    # Each curve is charged before it runs, so the charges must cover every % by n.
+    for n in ((2**30 - 35) * (2**61 - 1), 74851659936101 * 272981738224691, 1000003 * 1000033):
+        modulus = CountingModulus(n)
+        factors, left = factor._ecm_split(modulus, random.Random(factor._ECM_SEED), 1 << 30)
+        assert math.prod(factors) == n and 1 < min(factors)
+        assert 0 < modulus.count <= (1 << 30) - left
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -182,9 +219,9 @@ def test_factorize_hard_composites(primes):
     assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), primes
 
 
-def test_rho_budget_refuses_the_hard_semiprime(monkeypatch):
+def test_ecm_budget_refuses_the_hard_semiprime(monkeypatch):
     # Two primes of 61 and 64 bits: the seeded curves split them only after
-    # about 11.5 million reductions, past the default 2^22, let alone 2^16.
+    # about 14.0 million reductions, past the default 2^22, let alone 2^16.
     hard = (2**61 - 1) * (2**64 - 59)
     monkeypatch.setattr(factor, "_ECM_BUDGET", 1 << 16)
     start = time.perf_counter()
@@ -194,8 +231,8 @@ def test_rho_budget_refuses_the_hard_semiprime(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
-def test_rho_refusal_is_not_cached(monkeypatch):
-    n = (2**30 - 35) * (2**61 - 1)  # a 30-bit factor: six curves, 21,656 reductions; 4096 runs one
+def test_ecm_refusal_is_not_cached(monkeypatch):
+    n = (2**30 - 35) * (2**61 - 1)  # a 30-bit factor: six curves, 24,856 reductions; 4096 runs one
     with monkeypatch.context() as patch:
         patch.setattr(factor, "_ECM_BUDGET", 1 << 12)
         message = f"ECM found no factor of {n} within 4096 modular reductions"
