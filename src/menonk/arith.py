@@ -123,15 +123,17 @@ def _literal_lattice(
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
     """m**k, m's primes, and its divisors and steps as kth_reduced_mask returns them.
 
-    m is factored here by trial division, not by ``factorize``, so the
-    literal route shares nothing with the closed forms.  The class gate
-    runs first and bounds m by 2**25, so no divisor past 5792 is tried.
+    m is factored here by trial division, by 2 and then by odd
+    candidates only, not by ``factorize``, so the literal route shares
+    nothing with the closed forms.  The class gate runs first and bounds
+    m by 2**25, so no divisor past 5792 is tried.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
     mk = check_classes(m, k, max_iterations, f"enumerating residues mod {m}^{k}")
-    pairs = []
-    n, p = m, 2
+    v = (m & -m).bit_length() - 1
+    pairs = [(2, v)] if v else []
+    n, p = m >> v, 3
     while p * p <= n:
         v = 0
         while n % p == 0:
@@ -139,7 +141,7 @@ def _literal_lattice(
             v += 1
         if v:
             pairs.append((p, v))
-        p += 1
+        p += 2
     if n > 1:
         pairs.append((n, 1))
     divisors = [1]

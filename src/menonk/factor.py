@@ -3,16 +3,20 @@
 The pipeline is deterministic end to end: trial division by the primes
 up to a fixed bound, read off ``smallest_prime_factors`` (the one sieve,
 which ``batch`` also tabulates with; the same primes screen ``is_prime``
-and give stage 1 below its primes), Miller-Rabin over a witness set
-proven complete below 3.317e24, a strong Lucas test for anything larger
-(no counterexample to the combined test is known anywhere, let alone
-below 2^128), a perfect-power check, and Lenstra's elliptic-curve method
-(Montgomery curves, Suyama's parametrisation, stage 1 and a baby-step
-giant-step stage 2 on normalized x-coordinates, which needs no prime
-list) drawing its curves from a fixed-seed generator, so repeated calls
-factor identically.  Each factorization may spend at most
-``_ECM_BUDGET`` modular reductions on curves; past that it refuses with
-``ResourceLimitError`` instead of running without bound.
+and give stage 1 below its primes).  Trial division stops at the first
+prime p with p*p above the cofactor, which is then 1 or a prime, proven
+by the division itself: every n below 9973**2 is factored this way.
+Only a cofactor left after every prime up to the bound goes on to
+Miller-Rabin over a witness set proven complete below 3.317e24, a strong
+Lucas test for anything larger (no counterexample to the combined test
+is known anywhere, let alone below 2^128), a perfect-power check, and
+Lenstra's elliptic-curve method (Montgomery curves, Suyama's
+parametrisation, stage 1 and a baby-step giant-step stage 2 on
+normalized x-coordinates, which needs no prime list) drawing its curves
+from a fixed-seed generator, so repeated calls factor identically.  Each
+factorization may spend at most ``_ECM_BUDGET`` modular reductions on
+curves; past that it refuses with ``ResourceLimitError`` instead of
+running without bound.
 """
 
 from __future__ import annotations
@@ -258,7 +262,10 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
-            break
+            # No prime below p divides n < p*p, so n is 1 or a prime: the division proves it.
+            if n > 1:
+                counts[n] = 1
+            return tuple(counts.items())
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p

@@ -12,11 +12,13 @@ many shifts at once (``menon_sum_bruteforce`` is its one-shift case):
 it counts the reduced classes along each divisor's stride, takes first
 differences over the primes of m, and weighs each exact count by its
 gcd value D**k.  ``menon_closed_form`` evaluates the product side from
-the factorization alone.  The verify_* helpers check the lemmas of the
-proof (unit translation, multiplicativity, prime powers) and return
-verdicts instead of asserting, so callers can report a counterexample
-(which would mean an implementation bug, not a false identity) with
-full context.
+the factorization alone: it reads ``factorize(m)`` once and multiplies
+the two prime-power rules ``cohen_phi_rule`` and ``d_s_k_rule`` over
+it, the same rules the scalar ``cohen_phi`` and ``d_s_k`` evaluate.
+The verify_* helpers check the lemmas of the proof (unit translation,
+multiplicativity, prime powers) and return verdicts instead of
+asserting, so callers can report a counterexample (which would mean an
+implementation bug, not a false identity) with full context.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import math
 from operator import mul
 from typing import Iterable, Iterator
 
-from .arith import cohen_phi, d_s_k, gcd_pow_k, kth_reduced_mask
+from . import arith
+from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, gcd_pow_k, kth_reduced_mask
 from .factor import is_prime
 from .limits import checked_mul, checked_pow
 from .residues import standard_residue_set
@@ -93,10 +96,18 @@ def menon_sum_bruteforce(m: int, s: int, k: int, max_iterations: int | None = No
 
 
 def menon_closed_form(m: int, s: int, k: int) -> int:
-    """M(m, s, k) = d_s_k(m, s, k) * phi_k(m); factorization only, no loops."""
-    # cohen_phi goes first: it refuses m**k past 2^128 before anything factors m.
-    phi_k = cohen_phi(m, k)
-    return checked_mul(d_s_k(m, s, k), phi_k, "d_s_k(m) * phi_k(m)")
+    """M(m, s, k) = d_s_k(m, s, k) * phi_k(m); both rules over one factorization, no loops.
+
+    Refuses what cohen_phi refuses, with the same messages: m**k past
+    2^128 before anything factors m.
+    """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive integers")
+    checked_pow(m, k, "m^k")
+    # Looked up through arith at call time, where the scalar closed forms look it up too.
+    pairs = arith.factorize(m)
+    phi_k = eval_multiplicative(cohen_phi_rule(k), pairs)
+    return checked_mul(eval_multiplicative(d_s_k_rule(s, k), pairs), phi_k, "d_s_k(m) * phi_k(m)")
 
 
 def verify_unit_translation(

@@ -181,6 +181,16 @@ def test_verify_builds_each_table_once(capsys):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_verify_factors_each_point_once(capsys, monkeypatch):
+    # The closed route reads factorize once per grid point, for both of its rules;
+    # the literal route factors m itself and reads it never.
+    calls = []
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factor.factorize(n))
+    code, out, _ = invoke(capsys, "verify", "--m", "1..30", "--s", "0..2", "--k", "2")
+    assert code == EXIT_OK and out == "checked=90 passed=90 failed=0 skipped=0\n"
+    assert calls == [m for m in range(1, 31) for _ in range(3)]
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = invoke(capsys, "verify", "--m", "5..1", "--s", "0..0", "--k", "1")
     assert code == EXIT_USAGE and "empty" in err

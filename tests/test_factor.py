@@ -132,8 +132,36 @@ def test_factorize_at_the_trial_bound():
         (2**61 - 1) ** 2,
         (2**31 - 1) ** 3,
         10007**2 * (2**61 - 1),
+        # The largest prime below 9973**2, which trial division proves; the
+        # smallest above it, which only is_prime can; and the first times 2.
+        99_460_723,
+        99_460_747,
+        2 * 99_460_723,
     ):
         assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
+
+
+def test_trial_division_proves_its_last_cofactor(monkeypatch):
+    # Trial division stops at the first prime p with p*p above the cofactor, which is
+    # then 1 or a prime: below 9973**2 neither is_prime nor the seeded curves run.
+    def refuse(*args):
+        raise AssertionError(f"trial division handed on {args}")
+
+    factor._factor_pairs.cache_clear()
+    monkeypatch.setattr(factor, "is_prime", refuse)
+    monkeypatch.setattr(factor.random, "Random", refuse)
+    spf = factor.smallest_prime_factors(20_000)
+    for n in range(1, 20_001):
+        expected: dict[int, int] = {}
+        j = n
+        while j > 1:
+            expected[spf[j]] = expected.get(spf[j], 0) + 1
+            j //= spf[j]
+        assert factorize(n) == tuple(expected.items()), n
+    assert factorize(99_460_723) == ((99_460_723, 1),)
+    assert factorize(2 * 99_460_723) == ((2, 1), (99_460_723, 1))
+    with pytest.raises(AssertionError, match="trial division handed on"):
+        factorize(99_460_747)
 
 
 def test_factorize_deterministic():

@@ -66,6 +66,22 @@ def test_closed_form_specializations():
         assert menon_closed_form(m, 1, 1) == divisor_count(m) * euler_phi(m)
 
 
+def test_closed_form_is_the_product_of_the_scalar_closed_forms():
+    # menon_closed_form evaluates both rules over one factorization: it must give
+    # what the scalar closed forms give, and refuse what cohen_phi refuses, word for word.
+    for m in range(1, 61):
+        for k in (1, 2, 3):
+            for s in (0, 1, -1, 12, -12, 2**200, -(2**200)):
+                assert menon_closed_form(m, s, k) == d_s_k(m, s, k) * cohen_phi(m, k), (m, s, k)
+    for m, k in ((2**64, 2), (0, 2), (4, 0), (0, 0)):
+        with pytest.raises((ValueError, Uint128OverflowError)) as phi:
+            cohen_phi(m, k)
+        for s in (0, 1, 2**200):
+            with pytest.raises(type(phi.value)) as closed:
+                menon_closed_form(m, s, k)
+            assert str(closed.value) == str(phi.value), (m, s, k)
+
+
 def test_s_zero_degenerate_case():
     for m in (1, 2, 6, 12, 36):
         for k in (1, 2):
