@@ -2,22 +2,18 @@
 
 Exit codes: 0 success (and, for verify, zero failures); 1 usage error;
 2 overflow or iteration/memory cap; 3 verification failure.  Output is
-byte-deterministic for fixed inputs and format.  Lines are written with
-``print``, not ``click.echo``: echo caches a wrapper per ``sys.stdout``
-object in a ``WeakKeyDictionary`` whose value is the stream itself, so
-every in-process ``run`` under a fresh redirected stream would keep
-that stream, and all it captured, alive.
+byte-deterministic for fixed inputs and format.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import os
+import re
 import sys
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
-
-import click
 
 from . import arith, batch, menon
 from .limits import MAX_ITERATIONS_ENV, ResourceLimitError, Uint128OverflowError
@@ -43,16 +39,38 @@ _COMPUTE_FUNCTIONS = {
 }
 
 
+class UsageError(Exception):
+    """A refused command line: ``run`` prints it and returns EXIT_USAGE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        # --help but no -h.  Stock argparse reads "--s -2..2" as two options; "-<digit>" is a value.
+        self._negative_number_matcher = re.compile(r"-\d")
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise UsageError(f"{message} (see '{self.prog} --help')")
+
+
+def _max_iterations(text: str) -> int:
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise UsageError(f"--max-iterations must be an integer >= 1, got {text!r}")
+
+
 def _parse_range(text: str, name: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise click.UsageError(f"--{name} expects an inclusive range lo..hi, got {text!r}")
+        raise UsageError(f"--{name} expects an inclusive range lo..hi, got {text!r}")
     try:
         lo_val, hi_val = int(lo), int(hi)
     except ValueError:
-        raise click.UsageError(f"--{name} bounds must be integers, got {text!r}") from None
+        raise UsageError(f"--{name} bounds must be integers, got {text!r}") from None
     if hi_val - lo_val >= sys.maxsize:
-        raise click.UsageError(f"--{name} spans more than {sys.maxsize} values")
+        raise UsageError(f"--{name} spans more than {sys.maxsize} values")
     return range(lo_val, hi_val + 1)
 
 
@@ -60,60 +78,26 @@ def _parse_k_set(text: str) -> list[int]:
     try:
         ks = [int(part) for part in text.split(",")]
     except ValueError:
-        raise click.UsageError(f"--k expects integers like 1 or 1,2,3, got {text!r}") from None
+        raise UsageError(f"--k expects integers like 1 or 1,2,3, got {text!r}") from None
     if any(k < 1 for k in ks):
-        raise click.UsageError("--k values must be positive")
+        raise UsageError("--k values must be positive")
     return ks
 
 
-@click.group()
-@click.option(
-    "--max-iterations",
-    type=click.IntRange(min=1),
-    default=None,
-    envvar=MAX_ITERATIONS_ENV,
-    help="Override the brute-force loop cap (default 10^7; "
-    f"also read from ${MAX_ITERATIONS_ENV}).",
-)
-@click.pass_context
-def cli(ctx: click.Context, max_iterations: int | None) -> None:
-    """Exact Menon identities: k-th power gcd sums and their closed forms."""
-    ctx.obj = {"max_iterations": max_iterations}
-
-
-@cli.command("compute")
-@click.argument("function", type=click.Choice(sorted(_COMPUTE_FUNCTIONS)))
-@click.option("--m", type=int, default=None, help="Modulus (positive integer).")
-@click.option("--s", type=int, default=None, help="Integer shift parameter.")
-@click.option("--k", type=int, default=None, help="Gcd power (positive integer).")
-@click.pass_context
-def cmd_compute(ctx, function: str, m: int | None, s: int | None, k: int | None) -> None:
-    """Print one exact function value.
-
-    \b
-    Examples:
-      menonk compute cohen-phi --m 4 --k 2
-      menonk compute d-s --m 12 --s 3
-      menonk compute menon-lhs --m 12 --s 2 --k 1
-    """
-    required, evaluate = _COMPUTE_FUNCTIONS[function]
-    given = {"m": m, "s": s, "k": k}
+def cmd_compute(args: argparse.Namespace) -> None:
+    """Print one exact function value."""
+    required, evaluate = _COMPUTE_FUNCTIONS[args.function]
+    given = {"m": args.m, "s": args.s, "k": args.k}
     for name in required:
         if given[name] is None:
-            raise click.UsageError(f"{function} requires --{name}")
+            raise UsageError(f"{args.function} requires --{name}")
     for name, value in given.items():
         if value is not None and name not in required:
-            raise click.UsageError(f"{function} does not take --{name}")
-    print(evaluate(m, s, k, ctx.obj["max_iterations"]))
+            raise UsageError(f"{args.function} does not take --{name}")
+    print(evaluate(args.m, args.s, args.k, args.max_iterations))
 
 
-@cli.command("verify")
-@click.option("--m", "m_range", required=True, help="Inclusive modulus range lo..hi.")
-@click.option("--s", "s_range", required=True, help="Inclusive shift range lo..hi.")
-@click.option("--k", "k_set", required=True, help="Power or comma-separated powers, e.g. 1,2,3.")
-@click.option("--verbose", is_flag=True, help="Print an ok line for every grid point.")
-@click.pass_context
-def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> None:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Check lhs = rhs over a (m, s, k) grid; nonzero exit on any failure.
 
     Grid points whose brute-force sum would exceed the iteration cap, or
@@ -121,18 +105,16 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
     Every failure is printed in full (a failure means an implementation
     bug: the identity itself always holds).
     """
-    cap = ctx.obj["max_iterations"]
-    ms = _parse_range(m_range, "m")
-    ss = _parse_range(s_range, "s")
-    ks = _parse_k_set(k_set)
+    ms, ss = _parse_range(args.m, "m"), _parse_range(args.s, "s")
+    ks = _parse_k_set(args.k)
     if not ms or not ss or ms.start < 1:
-        raise click.UsageError("empty or invalid grid: need m >= 1 and nonempty ranges")
+        raise UsageError("empty or invalid grid: need m >= 1 and nonempty ranges")
 
     checked = passed = failed = skipped = 0
     for k in ks:
         for i, m in enumerate(ms):
             try:
-                lhss = menon.menon_sums(m, k, ss, cap)
+                lhss = menon.menon_sums(m, k, ss, args.max_iterations)
             except (ResourceLimitError, Uint128OverflowError):
                 # The class gate refuses m**k, which grows with m: skip the whole suffix.
                 skipped += (len(ms) - i) * len(ss)
@@ -142,15 +124,14 @@ def cmd_verify(ctx, m_range: str, s_range: str, k_set: str, verbose: bool) -> No
                 checked += 1
                 if lhs == rhs:
                     passed += 1
-                    if verbose:
+                    if args.verbose:
                         print(f"ok m={m} s={s} k={k} lhs={lhs} rhs={rhs}")
                 else:
                     failed += 1
                     print(f"FAIL m={m} s={s} k={k}: lhs={lhs} rhs={rhs}")
             del lhss  # frees this modulus' mask before the next one is built
     print(f"checked={checked} passed={passed} failed={failed} skipped={skipped}")
-    if failed:
-        ctx.exit(EXIT_VERIFY_FAILED)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 _JSON_BOOLS = {True: "true", False: "false"}
@@ -189,57 +170,34 @@ def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
             yield template % (m, phi_k, d_s_k, pillai_k, lhs, rhs, spell[verified])
 
 
-@cli.command("table")
-@click.option("--n", type=int, required=True, help="Tabulate m = 1..N.")
-@click.option("--s", type=int, required=True, help="Integer shift parameter.")
-@click.option("--k", type=int, required=True, help="Gcd power (positive integer).")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["plain", "csv", "json-lines"]),
-    default="plain",
-    show_default=True,
-)
-@click.option(
-    "--with-bruteforce/--no-bruteforce",
-    default=True,
-    show_default=True,
-    help="Fill menon_lhs/verified by direct summation.",
-)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.pass_context
-def cmd_table(ctx, n: int, s: int, k: int, fmt: str, with_bruteforce: bool, out: str | None) -> None:
+def cmd_table(args: argparse.Namespace) -> None:
     """Tabulate all functions for m = 1..N (sieve-backed, streamed)."""
-    if n < 1 or k < 1:
-        raise click.UsageError("--n and --k must be positive integers")
-    rows = batch.batch_table(n, s, k, with_bruteforce, ctx.obj["max_iterations"])
-    lines = _render_rows(rows, fmt)
-    if out is None:
+    if args.n < 1 or args.k < 1:
+        raise UsageError("--n and --k must be positive integers")
+    rows = batch.batch_table(args.n, args.s, args.k, args.with_bruteforce, args.max_iterations)
+    lines = _render_rows(rows, args.fmt)
+    if args.out is None:
         sys.stdout.writelines(lines)
-    else:
-        # A refused row must not leave a shorter table that looks whole, nor
-        # clobber an existing file: write beside it and move it into place.
-        tmp = f"{out}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.writelines(lines)
-            os.replace(tmp, out)
-        except OSError as exc:
-            raise click.ClickException(f"cannot write {out}: {exc}") from exc
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+        return
+    # A refused row must not leave a shorter table that looks whole, nor
+    # clobber an existing file: write beside it and move it into place.
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        os.replace(tmp, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
-@cli.command("residues")
-@click.option("--m", type=int, required=True, help="Modulus (positive integer).")
-@click.option("--k", type=int, required=True, help="Gcd power (positive integer).")
-@click.pass_context
-def cmd_residues(ctx, m: int, k: int) -> None:
+def cmd_residues(args: argparse.Namespace) -> None:
     """Print the standard k-th power reduced residue set modulo m."""
-    if m < 1 or k < 1:
-        raise click.UsageError("--m and --k must be positive integers")
-    elements = standard_residue_set(m, k, ctx.obj["max_iterations"]).elements
+    if args.m < 1 or args.k < 1:
+        raise UsageError("--m and --k must be positive integers")
+    elements = standard_residue_set(args.m, args.k, args.max_iterations).elements
     # The text goes out a block at a time, not as a str per member plus one joined line.
     sep = ""
     for o in range(0, len(elements), _RESIDUE_BLOCK):
@@ -248,22 +206,64 @@ def cmd_residues(ctx, m: int, k: int) -> None:
     sys.stdout.write("\n")
 
 
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="menonk", description=__doc__.partition("\n")[0])
+    parser.add_argument("--max-iterations", type=_max_iterations, help="Override the brute-force "
+                        f"loop cap (default 10^7; also read from ${MAX_ITERATIONS_ENV}).")
+    commands = parser.add_subparsers(dest="command", required=True, prog="menonk")
+
+    def command(fn, **kwargs) -> _Parser:
+        summary = fn.__doc__.partition("\n")[0]
+        sub = commands.add_parser(fn.__name__[4:], help=summary, description=fn.__doc__, **kwargs)
+        sub.set_defaults(cmd=fn)
+        return sub
+    examples = ("cohen-phi --m 4 --k 2", "d-s --m 12 --s 3", "menon-lhs --m 12 --s 2 --k 1")
+    epilog = "examples:" + "".join(f"\n  menonk compute {e}" for e in examples)
+    sub = command(cmd_compute, epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub.add_argument("function", choices=sorted(_COMPUTE_FUNCTIONS))
+    sub.add_argument("--m", type=int, help="Modulus (positive integer).")
+    sub.add_argument("--s", type=int, help="Integer shift parameter.")
+    sub.add_argument("--k", type=int, help="Gcd power (positive integer).")
+    sub = command(cmd_verify)
+    sub.add_argument("--m", required=True, help="Inclusive modulus range lo..hi.")
+    sub.add_argument("--s", required=True, help="Inclusive shift range lo..hi.")
+    sub.add_argument("--k", required=True, help="Power or comma-separated powers, e.g. 1,2,3.")
+    sub.add_argument("--verbose", action="store_true", help="Print an ok line per grid point.")
+    sub = command(cmd_table)
+    sub.add_argument("--n", type=int, required=True, help="Tabulate m = 1..N.")
+    sub.add_argument("--s", type=int, required=True, help="Integer shift parameter.")
+    sub.add_argument("--k", type=int, required=True, help="Gcd power (positive integer).")
+    sub.add_argument("--format", dest="fmt", choices=["plain", "csv", "json-lines"],
+                     default="plain", help="Output format (default: plain).")
+    sub.add_argument("--with-bruteforce", action="store_true", default=True,
+                     help="Fill menon_lhs/verified by direct summation (the default).")
+    sub.add_argument("--no-bruteforce", dest="with_bruteforce", action="store_false")
+    sub.add_argument("--out", help="Write the table to this file, not to stdout.")
+    sub = command(cmd_residues)
+    sub.add_argument("--m", type=int, required=True, help="Modulus (positive integer).")
+    sub.add_argument("--k", type=int, required=True, help="Gcd power (positive integer).")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Invoke the CLI and map every outcome onto the documented exit codes."""
     try:
-        # In non-standalone mode click returns ctx.exit codes (--help's 0,
-        # verify's 3) instead of calling sys.exit, so thread them through.
-        result = cli.main(args=argv, prog_name="menonk", standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
+        args = _PARSER.parse_args(argv)
+        # Read per call, not at import; an explicit --max-iterations wins.
+        if args.max_iterations is None and (env := os.environ.get(MAX_ITERATIONS_ENV)):
+            args.max_iterations = _max_iterations(env)
+        return args.cmd(args) or EXIT_OK
+    except SystemExit as exc:  # --help, once its text is printed
+        return exc.code
     except (Uint128OverflowError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return result if isinstance(result, int) else EXIT_OK
 
 
 def main() -> None:

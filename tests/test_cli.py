@@ -67,6 +67,43 @@ def test_compute_examples(capsys):
     )
 
 
+def test_values_that_start_with_a_minus_sign(capsys):
+    # Stock argparse reads "--s -7..-3" as two options and refuses it; verify-k2's shift
+    # centre runs over -50..50, so a range or integer after "-" must stay the option's value.
+    checks = (
+        (("verify", "--m", "1..3", "--s", "-7..-3", "--k", "1"),
+         "checked=15 passed=15 failed=0 skipped=0\n"),
+        (("compute", "d-s", "--m", "12", "--s", "-3"), "3\n"),
+        (("compute", "phi", "--m=12"), "4\n"),
+        (("table", "--n", "3", "--s", "-1", "--k", "1", "--format", "csv", "--with-bruteforce"),
+         "m,phi_k,d_s_k,pillai_k,menon_lhs,menon_rhs,verified\n"
+         "1,1,1,1,1,1,true\n2,1,2,3,2,2,true\n3,2,2,5,4,4,true\n"),
+        (("verify", "--m", "1..20", "--s", "-48..-44", "--k", "2"),
+         "checked=100 passed=100 failed=0 skipped=0\n"),
+    )
+    for argv, expected in checks:
+        assert invoke(capsys, *argv) == (EXIT_OK, expected, ""), argv
+
+
+def test_usage_errors_exit_one_with_a_message(capsys):
+    # Every refusal of the command line itself: exit 1, nothing on stdout, a message and
+    # no traceback on stderr, and no SystemExit out of run.
+    for argv in (
+        [],
+        ["bogus"],
+        ["compute", "phi", "--m", "x"],
+        ["compute", "phi", "--m", "12", "extra"],
+        ["table", "--n", "3", "--s", "1", "--k", "1", "--format", "xml"],
+        ["--max-iterations", "x", "compute", "phi", "--m", "4"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.strip() and "Traceback" not in err, argv
+    for argv in (["--help"], ["table", "--help"]):
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out
+
+
 def test_compute_usage_errors(capsys):
     code, _, err = invoke(capsys, "compute", "no-such-function", "--m", "3")
     assert code == EXIT_USAGE and "no-such-function" in err
@@ -101,7 +138,7 @@ def test_compute_refuses_a_semiprime_rho_cannot_split(capsys, monkeypatch):
 def test_run_keeps_no_redirected_stream():
     # An in-process caller that captures each call (as the bench worker does)
     # must get its streams back: after output, a refusal, a domain error and
-    # a usage error click reports itself.
+    # a usage error the parser reports.
     refs = []
     for argv, code in (
         (["compute", "phi", "--m", "12"], EXIT_OK),
@@ -497,10 +534,10 @@ def test_outputs_are_deterministic(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == EXIT_OK and "compute" in out
-    assert out.startswith("Usage:")
-    # click returns --help's exit code when not standalone; run maps nothing itself
+    assert out.startswith("usage:")
+    # argparse ends --help with SystemExit(0); run returns that code instead of raising it
     code, out, _ = invoke(capsys, "table", "--help")
-    assert code == EXIT_OK and out.startswith("Usage:") and "--with-bruteforce" in out
+    assert code == EXIT_OK and out.startswith("usage:") and "--with-bruteforce" in out
 
 
 def test_module_entry_point():

@@ -5,7 +5,7 @@ uses a name by listing it in ``__all__``), no module imports a
 private ``_name`` from another menonk module, every private
 module-level name is read somewhere in its own module, every name in a
 module's ``__all__`` is bound at its top level, and no absolute import
-reaches past the standard library, ``click`` and ``menonk`` itself.
+reaches past the standard library and ``menonk`` itself.
 """
 
 import ast
@@ -101,9 +101,9 @@ def test_all_names_are_bound_in_their_module():
     assert problems == []
 
 
-def test_click_is_the_only_runtime_dependency():
+def test_standard_library_only():
     # numpy and sympy serve the tests and the bench; an import of either in src slips past pip.
-    allowed = set(sys.stdlib_module_names) | {"click", "menonk"}
+    allowed = set(sys.stdlib_module_names) | {"menonk"}
     problems = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
