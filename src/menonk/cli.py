@@ -119,8 +119,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 # The class gate refuses m**k, which grows with m: skip the whole suffix.
                 skipped += (len(ms) - i) * len(ss)
                 break
-            for s, lhs in zip(ss, lhss):
-                rhs = menon.menon_closed_form(m, s, k)
+            # Outside the try: a refusal of the closed route ends the run, it is no skip.
+            rhss = menon.menon_closed_forms(m, k, ss)
+            for s, lhs, rhs in zip(ss, lhss, rhss):
                 checked += 1
                 if lhs == rhs:
                     passed += 1

@@ -1,4 +1,4 @@
-"""Menon sums: direct summation, closed form, and lemma verifiers.
+"""Menon sums: direct summation, closed forms, and lemma verifiers.
 
 The central quantity is
 
@@ -6,15 +6,18 @@ The central quantity is
                  of (a - s, m**k)_k
 
 which equals d_s_k(m, s, k) * phi_k(m) for every integer s and all
-positive integers m, k.  Every function here takes the modulus, s and
-k as plain integers.  ``menon_sums`` evaluates the sum literally for
+positive integers m, k.  The one-shift functions here take the
+modulus, s and k as plain integers; the many-shift ones take m, k and
+an iterable of shifts.  ``menon_sums`` evaluates the sum literally for
 many shifts at once (``menon_sum_bruteforce`` is its one-shift case):
 it counts the reduced classes along each divisor's stride, takes first
 differences over the primes of m, and weighs each exact count by its
-gcd value D**k.  ``menon_closed_form`` evaluates the product side from
-the factorization alone: it reads ``factorize(m)`` once and multiplies
-the two prime-power rules ``cohen_phi_rule`` and ``d_s_k_rule`` over
-it, the same rules the scalar ``cohen_phi`` and ``d_s_k`` evaluate.
+gcd value D**k.  ``menon_closed_forms`` evaluates the product side for
+the same shifts from the factorization alone (``menon_closed_form`` is
+its one-shift case): it reads ``factorize(m)`` once and evaluates
+``cohen_phi_rule`` over it once, then multiplies ``d_s_k_rule`` over it
+for each shift; these are the rules the scalar ``cohen_phi`` and
+``d_s_k`` evaluate.  Each route does its per-modulus work once.
 The verify_* helpers check the lemmas of the proof (unit translation,
 multiplicativity, prime powers) and return verdicts instead of
 asserting, so callers can report a counterexample (which would mean an
@@ -24,6 +27,7 @@ implementation bug, not a false identity) with full context.
 from __future__ import annotations
 
 import math
+from itertools import starmap
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -37,6 +41,7 @@ __all__ = [
     "menon_sum_over",
     "menon_sums",
     "menon_sum_bruteforce",
+    "menon_closed_forms",
     "menon_closed_form",
     "verify_unit_translation",
     "verify_menon_multiplicativity",
@@ -95,11 +100,15 @@ def menon_sum_bruteforce(m: int, s: int, k: int, max_iterations: int | None = No
     return total
 
 
-def menon_closed_form(m: int, s: int, k: int) -> int:
-    """M(m, s, k) = d_s_k(m, s, k) * phi_k(m); both rules over one factorization, no loops.
+def menon_closed_forms(m: int, k: int, shifts: Iterable[int]) -> Iterator[int]:
+    """M(m, s, k) = d_s_k(m, s, k) * phi_k(m) for each s in ``shifts``, in order.
 
-    Refuses what cohen_phi refuses, with the same messages: m**k past
-    2^128 before anything factors m.
+    Here, at the call, m and k are checked, m**k past 2^128 is refused
+    with cohen_phi's message before anything factors m, and
+    ``factorize(m)`` is read once and phi_k(m) evaluated over it once.
+    Each product is then taken lazily: d_s_k_rule(s, k) over the same
+    factorization, times phi_k(m).  d_s_k(m) <= d(m), so only the
+    product needs a domain check.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
@@ -107,7 +116,18 @@ def menon_closed_form(m: int, s: int, k: int) -> int:
     # Looked up through arith at call time, where the scalar closed forms look it up too.
     pairs = arith.factorize(m)
     phi_k = eval_multiplicative(cohen_phi_rule(k), pairs)
-    return checked_mul(eval_multiplicative(d_s_k_rule(s, k), pairs), phi_k, "d_s_k(m) * phi_k(m)")
+
+    def closed(s: int) -> int:
+        d = math.prod(starmap(d_s_k_rule(s, k), pairs))
+        return checked_mul(d, phi_k, "d_s_k(m) * phi_k(m)")
+
+    return map(closed, shifts)
+
+
+def menon_closed_form(m: int, s: int, k: int) -> int:
+    """M(m, s, k) from the closed forms: menon_closed_forms at one shift."""
+    (total,) = menon_closed_forms(m, k, (s,))
+    return total
 
 
 def verify_unit_translation(

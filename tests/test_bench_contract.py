@@ -48,9 +48,11 @@ def test_traced_pass_records_every_layer(tmp_path):
         ["table", "--n", "6", "--s", "1", "--k", "1", "--format", "csv"],
         ["compute", "d-s-k", "--m", "36", "--s", "12", "--k", "2"],
         ["residues", "--m", "6", "--k", "1"],
+        # verify takes the many-shift closed route; menon-rhs still calls menon_closed_form
+        ["compute", "menon-rhs", "--m", "36", "--s", "12", "--k", "2"],
     ]
     result = worker.run_pass(menonk, argvs, None, tracer)
-    assert [op["exit"] for op in result["ops"]] == [0, 0, 0, 0]
+    assert [op["exit"] for op in result["ops"]] == [0, 0, 0, 0, 0]
     assert result["ops"][0]["stdout"] == "checked=12 passed=12 failed=0 skipped=0\n"
     recorded = {tracer.names[i] for i in tracer.name}
     assert {"cli.command", "factor.factorize", "arith.closed_form", "menon.closed_form",

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from menonk import arith, batch, cli, factor, residues
+from menonk import arith, batch, cli, factor, menon, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
+from menonk.limits import checked_mul
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -218,14 +219,21 @@ def test_verify_builds_each_table_once(capsys):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-def test_verify_factors_each_point_once(capsys, monkeypatch):
-    # The closed route reads factorize once per grid point, for both of its rules;
-    # the literal route factors m itself and reads it never.
-    calls = []
+def test_verify_factors_each_modulus_once(capsys, monkeypatch):
+    # The closed route reads factorize and evaluates phi_k once per modulus, for every
+    # shift; the literal route factors m itself and reads it never.
+    calls, rules = [], []
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factor.factorize(n))
+
+    def counted_rule(k):
+        rules.append(k)
+        return arith.cohen_phi_rule(k)
+
+    monkeypatch.setattr(menon, "cohen_phi_rule", counted_rule)
     code, out, _ = invoke(capsys, "verify", "--m", "1..30", "--s", "0..2", "--k", "2")
     assert code == EXIT_OK and out == "checked=90 passed=90 failed=0 skipped=0\n"
-    assert calls == [m for m in range(1, 31) for _ in range(3)]
+    assert calls == list(range(1, 31))
+    assert rules == [2] * 30
 
 
 def test_verify_usage_errors(capsys):
@@ -249,12 +257,38 @@ def test_verify_reports_failures(capsys, monkeypatch):
     def fake_sums(m, k, shifts, max_iterations=None):
         return iter([1] * len(shifts))
 
+    def fake_closed_forms(m, k, shifts):
+        return iter([2] * len(shifts))
+
     monkeypatch.setattr(cli.menon, "menon_sums", fake_sums)
-    monkeypatch.setattr(cli.menon, "menon_closed_form", lambda m, s, k: 2)
+    monkeypatch.setattr(cli.menon, "menon_closed_forms", fake_closed_forms)
     code, out, _ = invoke(capsys, "verify", "--m", "12..12", "--s", "1..1", "--k", "1")
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL m=12 s=1 k=1: lhs=1 rhs=2" in out
     assert "checked=1 passed=0 failed=1 skipped=0" in out
+
+
+@pytest.mark.parametrize("at_the_call", [True, False], ids=["at-the-call", "lazily"])
+def test_verify_closed_route_refusal_ends_the_run(capsys, monkeypatch, at_the_call):
+    # A refusal of the closed route is no class-gate skip: the run stops with exit 2,
+    # one error line and no summary, whether it comes at the call or with a value.
+    real = menon.menon_closed_forms
+
+    def refusing(m, k, shifts):
+        if m != 3:
+            return real(m, k, shifts)
+        if at_the_call:
+            checked_mul(2**64, 2**64, "d_s_k(m) * phi_k(m)")
+        return (checked_mul(2**64, 2**64, "d_s_k(m) * phi_k(m)") for _ in shifts)
+
+    monkeypatch.setattr(menon, "menon_closed_forms", refusing)
+    code, out, err = invoke(capsys, "verify", "--m", "1..5", "--s", "0..1", "--k", "2", "--verbose")
+    assert code == EXIT_LIMIT
+    assert err.splitlines() == [f"error: d_s_k(m) * phi_k(m) = {2**128} is outside [0, 2^128)"]
+    assert "skipped" not in out
+    assert [line.split(" lhs")[0] for line in out.splitlines()] == [
+        "ok m=1 s=0 k=2", "ok m=1 s=1 k=2", "ok m=2 s=0 k=2", "ok m=2 s=1 k=2"
+    ]
 
 
 def test_false_factorization_fails_only_the_closed_route(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from array import array
+from fractions import Fraction
 from functools import partial
 from itertools import compress
 
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from menonk import arith
+from menonk import arith, factor, menon
 from menonk.arith import (
     cohen_phi,
     cohen_phi_bruteforce,
@@ -27,6 +28,7 @@ from menonk.batch import BatchRow, batch_table
 from menonk.limits import U128_MAX, ResourceLimitError, Uint128OverflowError
 from menonk.menon import (
     menon_closed_form,
+    menon_closed_forms,
     menon_sum_bruteforce,
     menon_sum_over,
     menon_sums,
@@ -67,15 +69,21 @@ def test_closed_form_specializations():
 
 
 def test_closed_form_is_the_product_of_the_scalar_closed_forms():
-    # menon_closed_form evaluates both rules over one factorization: it must give
-    # what the scalar closed forms give, and refuse what cohen_phi refuses, word for word.
+    # menon_closed_forms evaluates both rules over one factorization: it must give what
+    # the scalar closed forms give, shift by shift, and refuse what cohen_phi refuses,
+    # word for word, even with no shift.  menon_closed_form is its one-shift case.
     for m in range(1, 61):
         for k in (1, 2, 3):
-            for s in (0, 1, -1, 12, -12, 2**200, -(2**200)):
-                assert menon_closed_form(m, s, k) == d_s_k(m, s, k) * cohen_phi(m, k), (m, s, k)
+            shifts = [*range(-40, 41), 0, 2**200, -(2**200), -(6**k * 5**k), m**k]
+            expected = [d_s_k(m, s, k) * cohen_phi(m, k) for s in shifts]
+            assert list(menon_closed_forms(m, k, shifts)) == expected, (m, k)
+            assert [menon_closed_form(m, s, k) for s in shifts] == expected, (m, k)
     for m, k in ((2**64, 2), (0, 2), (4, 0), (0, 0)):
         with pytest.raises((ValueError, Uint128OverflowError)) as phi:
             cohen_phi(m, k)
+        with pytest.raises(type(phi.value)) as closed:
+            menon_closed_forms(m, k, ())
+        assert str(closed.value) == str(phi.value), (m, k)
         for s in (0, 1, 2**200):
             with pytest.raises(type(phi.value)) as closed:
                 menon_closed_form(m, s, k)
@@ -230,6 +238,60 @@ def test_menon_sums_checks_before_summing():
         menon_sums(2**65, 2, [1])
     with pytest.raises(ResourceLimitError):
         menon_sums(100, 1, [1], max_iterations=50)
+
+
+def test_menon_closed_forms_factor_once_at_the_call(monkeypatch):
+    # m^k is checked and m factored at the call, before any shift is drawn; each value
+    # is then taken lazily from that one factorization.
+    calls, drawn = [], []
+
+    def shifts():
+        for s in range(-3, 4):
+            drawn.append(s)
+            yield s
+
+    expected = [d_s_k(360, s, 2) * cohen_phi(360, 2) for s in range(-3, 4)]
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factor.factorize(n))
+    with pytest.raises(Uint128OverflowError, match=r"^m\^k = "):
+        menon_closed_forms(2**128, 1, shifts())
+    assert calls == [] and drawn == []
+    values = menon_closed_forms(360, 2, shifts())
+    assert calls == [360] and drawn == []
+    assert list(values) == expected
+    assert calls == [360] and drawn == list(range(-3, 4))
+    assert list(menon_closed_forms(12, 2, ())) == []
+
+
+class _TallyMask(bytearray):
+    """A reduced-class mask that adds up the lengths of the slices read from it."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.read += len(item)
+        return item
+
+
+def test_menon_sums_read_sigma_minus_k_bytes_a_shift(monkeypatch):
+    # Each divisor d > 1 of m counts one stride of m**k / d**k bytes a shift:
+    # m**k * (sigma_{-k}(m) - 1) bytes in all, the literal route's whole work.
+    masks = []
+
+    def tallying(m, k, max_iterations=None):
+        mask, divisors, steps = arith.kth_reduced_mask(m, k, max_iterations)
+        masks.append(_TallyMask(mask))
+        return masks[-1], divisors, steps
+
+    monkeypatch.setattr(menon, "kth_reduced_mask", tallying)
+    cases = [(1, 1), (1, 3), (7, 1), (7, 2), (2**5, 1), (2**5, 2), (720720, 1)]
+    cases += [(m, k) for k in (1, 2, 3) for m in range(1, 25)]
+    for m, k in cases:
+        per_shift = m**k * (sum(Fraction(1, d**k) for d in sympy.divisors(m)) - 1)
+        shifts = [0, 1, -1, m**k, -(2**200)]
+        for n, _ in enumerate(menon_sums(m, k, shifts), 1):
+            assert masks[-1].read == n * per_shift, (m, k, n)
 
 
 def test_params_validation():
