@@ -28,14 +28,16 @@ side factors m by its own trial division and never reads
 
 The literal side is one sieve.  (x, m**k)_k is D**k for the largest
 divisor D of m with D**k | x, so the table over the classes x mod m**k
-is made by slice strokes: for each divisor d of m, in ascending order,
-every class divisible by d**k is set to d**k, and the last stroke on a
-class is its own D.  ``kth_gcd_classes(m, k)`` streams that table in
-fixed blocks, for the two oracles.  The reduced classes are those that
-no p**k with p | m divides; ``kth_reduced_mask(m, k)`` strokes their
-mask over all classes at once and returns it with m's divisor lattice
-(its divisors, ascending, and the prime steps d -> p * d between them)
-for ``menon.menon_sums``; the standard residue set reads only the mask.
+is made by slice strokes: for each divisor d of m, in divisibility
+order (d before each of its multiples), every class divisible by d**k
+is set to d**k, and the last stroke on a class is its own D.
+``kth_gcd_classes(m, k)`` streams that table in fixed blocks, for the
+two oracles.  The reduced classes are those that no p**k with p | m
+divides; ``kth_reduced_mask(m, k)`` strokes their mask over all classes
+at once and returns it with m's divisor lattice (its divisors in mixed
+radix order, prime by prime, and the prime steps d -> p * d between
+them) for ``menon.menon_sums``; the standard residue set reads only the
+mask.
 One private step factors m and lays out that lattice, for both passes,
 after the one budget gate ``limits.check_classes`` (at most
 min(cap, 2**25) classes).  ``pillai``'s divisor sum reads only the
@@ -144,22 +146,23 @@ def _literal_lattice(
         p += 2
     if n > 1:
         pairs.append((n, 1))
-    divisors = [1]
+    # Mixed radix: d = prod p_i**e_i sits at index sum e_i * t_i, where t_i is the
+    # number of divisors before p_i's; p_i's steps are (i, i + t_i) below exponent v_i.
+    divisors, radices = [1], []
     for p, v in pairs:
-        divisors = [d * p**e for d in divisors for e in range(v + 1)]
-    divisors.sort()
-    index = {d: i for i, d in enumerate(divisors)}
-    primes = [p for p, _ in pairs]
-    steps = [(i, index[d * p]) for p in primes for i, d in enumerate(divisors) if d * p in index]
-    return mk, primes, divisors, steps
+        t = len(divisors)
+        divisors += [d * p**e for e in range(1, v + 1) for d in divisors]
+        radices.append((t, len(divisors)))
+    steps = [(i, i + t) for t, block in radices for i in range(len(divisors)) if i % block < block - t]
+    return mk, [p for p, _ in pairs], divisors, steps
 
 
 def _kth_block(divisors: list[int], k: int, offset: int, n: int) -> array:
     """(x, m**k)_k for the classes x in [offset, offset + n).
 
-    ``divisors`` are m's, ascending.  Each d strokes d**k over the
-    classes it divides; of the divisors whose k-th power divides x, all
-    divide the largest, so its stroke comes last.
+    ``divisors`` are m's, each before its multiples.  Each d strokes
+    d**k over the classes it divides; of the divisors whose k-th power
+    divides x, all divide the largest, so its stroke comes last.
     """
     table = array("I", [1]) * n
     for d in divisors[1:]:
@@ -174,11 +177,14 @@ def kth_reduced_mask(
 ) -> tuple[bytearray, list[int], list[tuple[int, int]]]:
     """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, with m's divisors and prime steps.
 
-    The divisors come ascending; a step (i, j) has divisors[j] =
-    p * divisors[i] for a prime p of m, listed prime by prime with i
-    ascending.  A class is reduced when no p**k with p | m divides it,
-    so each p zeroes every p**k-th byte.  Gated by
-    ``limits.check_classes`` before anything is allocated.
+    The divisors come in mixed radix order: with m's primes p_1 < p_2 < ...
+    and t_i the number of divisors of p_1**v_1 * ... * p_(i-1)**v_(i-1),
+    d = prod p_i**e_i sits at index sum e_i * t_i, so d | D puts d no
+    later than D.  A step (i, j) has divisors[j] = p * divisors[i] for a
+    prime p of m, listed prime by prime with i ascending.  A class is
+    reduced when no p**k with p | m divides it, so each p zeroes every
+    p**k-th byte.  Gated by ``limits.check_classes`` before anything
+    is allocated.
     """
     mk, primes, divisors, steps = _literal_lattice(m, k, max_iterations)
     mask = bytearray([1]) * mk

@@ -110,6 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not ms or not ss or ms.start < 1:
         raise UsageError("empty or invalid grid: need m >= 1 and nonempty ranges")
 
+    verbose = args.verbose
     checked = passed = failed = skipped = 0
     for k in ks:
         for i, m in enumerate(ms):
@@ -125,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 checked += 1
                 if lhs == rhs:
                     passed += 1
-                    if args.verbose:
+                    if verbose:
                         print(f"ok m={m} s={s} k={k} lhs={lhs} rhs={rhs}")
                 else:
                     failed += 1

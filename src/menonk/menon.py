@@ -10,18 +10,19 @@ positive integers m, k.  The one-shift functions here take the
 modulus, s and k as plain integers; the many-shift ones take m, k and
 an iterable of shifts.  ``menon_sums`` evaluates the sum literally for
 many shifts at once (``menon_sum_bruteforce`` is its one-shift case):
-it counts the reduced classes along each divisor's stride, takes first
-differences over the primes of m, and weighs each exact count by its
-gcd value D**k.  ``menon_closed_forms`` evaluates the product side for
-the same shifts from the factorization alone (``menon_closed_form`` is
-its one-shift case): it reads ``factorize(m)`` once and evaluates
-``cohen_phi_rule`` over it once, then multiplies ``d_s_k_rule`` over it
-for each shift; these are the rules the scalar ``cohen_phi`` and
-``d_s_k`` evaluate.  Each route does its per-modulus work once.
-The verify_* helpers check the lemmas of the proof (unit translation,
-multiplicativity, prime powers) and return verdicts instead of
-asserting, so callers can report a counterexample (which would mean an
-implementation bug, not a false identity) with full context.
+it turns the gcd values d**k into one weight per divisor of m, once,
+and then, for each shift, counts the reduced classes along each
+divisor's stride and weighs each count.  ``menon_closed_forms``
+evaluates the product side for the same shifts from the factorization
+alone (``menon_closed_form`` is its one-shift case): it reads
+``factorize(m)`` once and evaluates ``cohen_phi_rule`` over it once,
+then multiplies ``d_s_k_rule`` over it for each shift; these are the
+rules the scalar ``cohen_phi`` and ``d_s_k`` evaluate.  Each route does
+its per-modulus work once.  The verify_* helpers check the lemmas of
+the proof (unit translation, multiplicativity, prime powers) and
+return verdicts instead of asserting, so callers can report a
+counterexample (which would mean an implementation bug, not a false
+identity) with full context.
 """
 
 from __future__ import annotations
@@ -69,27 +70,31 @@ def menon_sums(
     """M(m, s, k) for each s in ``shifts``, in order, by direct count.
 
     The mask of the reduced classes mod m**k, m's divisors and their
-    prime steps come once, here, from kth_reduced_mask; each sum is then
-    taken lazily.  The divisors d of m with d**k | a - s are exactly
-    those of D, where D**k = (a - s, m**k)_k.  So c[d], the number of
-    reduced a with d**k | a - s, is the mask counted along the stride
-    mask[s mod d**k :: d**k], and it sums the exact counts over the
-    multiples of d.  First differences along each step (i, j), where
-    divisors[j] = p * divisors[i] (c[D] -= c[pD], prime by prime, D
-    ascending), leave c[D] = #{reduced a : (a - s, m**k)_k = D**k},
-    and M(m, s, k) = sum c[D] * D**k.  Every reduced class is still
-    counted, in C, and the only weights are the values D**k.  The mask
-    is refused, before anything is allocated, by the class gate.
+    prime steps come once, here, from kth_reduced_mask, and so do the
+    weights; each sum is then taken lazily.  The divisors d of m with
+    d**k | a - s are exactly those of D, where D**k = (a - s, m**k)_k.
+    So N[d], the number of reduced a with d**k | a - s, is the mask
+    counted along the stride mask[s mod d**k :: d**k], and
+    M(m, s, k) = sum over D of D**k * #{reduced a : (a - s, m**k)_k = D**k}
+    is sum w[d] * N[d], where w is the Moebius transform of the values
+    d**k over m's divisors: w[d] = sum_{e | d} mu(d / e) * e**k, which
+    is phi_k(d).  The weights come from the lattice alone, by
+    w[pd] -= w[d] along the steps in reverse order: the transpose of
+    the first differences N[d] -= N[pd] along the steps in order.  A
+    shift then costs its strided counts, in C, and one dot product.
+    The mask is refused, before anything is allocated, by the class
+    gate.
     """
     mask, divisors, steps = kth_reduced_mask(m, k, max_iterations)
-    powers = [d**k for d in divisors]
-    reduced = mask.count(1)
+    weights = [d**k for d in divisors]
+    strides = weights[1:]
+    for i, j in reversed(steps):
+        weights[j] -= weights[i]
+    # No step ends at divisor 1, so its weight stays phi_k(1) = 1.
+    reduced, weights = mask.count(1), weights[1:]
 
     def total(s: int) -> int:
-        counts = [reduced] + [mask[s % q :: q].count(1) for q in powers[1:]]
-        for i, j in steps:
-            counts[i] -= counts[j]
-        return sum(map(mul, counts, powers))
+        return reduced + sum(map(mul, [mask[s % q :: q].count(1) for q in strides], weights))
 
     return map(total, shifts)
 

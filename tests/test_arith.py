@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -401,6 +402,12 @@ def prime_steps(divisors: list[int], primes: tuple[int, ...]) -> list[tuple[int,
     return [(i, j) for p in primes for i, j in pairs if divisors[j] == p * divisors[i]]
 
 
+def assert_divisibility_order(divisors: list[int]) -> None:
+    """d | D puts d no later than D: the order _kth_block's last stroke relies on."""
+    for i, d in enumerate(divisors):
+        assert all(e % d for e in divisors[:i]), (d, divisors)
+
+
 def test_kth_gcd_classes_cross_blocks():
     # 90,000 classes: one full block, then a partial one
     m, k = 300, 2
@@ -411,7 +418,8 @@ def test_kth_gcd_classes_cross_blocks():
     assert all(classes[x] == gcd_pow_k(x, mk, k) for x in range(mk))
     mask, divisors, steps = kth_reduced_mask(m, k)
     assert list(mask) == [t == 1 for t in classes]
-    assert divisors == [d for d in range(1, m + 1) if m % d == 0]
+    assert sorted(divisors) == [d for d in range(1, m + 1) if m % d == 0]
+    assert_divisibility_order(divisors)
     assert steps == prime_steps(divisors, (2, 3, 5))
 
 
@@ -463,13 +471,87 @@ def test_literal_pairs_match_factorize():
         divisors = sorted(math.prod(es) for es in itertools.product(*powers))
         mk, primes, lattice_divisors, steps = arith._literal_lattice(m, 1, MAX_TABLE_CLASSES)
         # The divisors of m, once right, fix its (p, v) pairs.
-        assert (mk, primes, lattice_divisors) == (m, [p for p, _ in pairs], divisors), m
+        assert (mk, primes, sorted(lattice_divisors)) == (m, [p for p, _ in pairs], divisors), m
         if m in (1, 2, 12, 360, 2**25, 5791**2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19):
-            assert steps == prime_steps(divisors, tuple(primes)), m
+            assert_divisibility_order(lattice_divisors)
+            assert steps == prime_steps(lattice_divisors, tuple(primes)), m
     # 240 divisors over six primes
-    assert arith._literal_lattice(720720, 1, None)[3] == prime_steps(
-        [d for d in range(1, 720721) if 720720 % d == 0], (2, 3, 5, 7, 11, 13)
-    )
+    _, _, divisors, steps = arith._literal_lattice(720720, 1, None)
+    assert sorted(divisors) == [d for d in range(1, 720721) if 720720 % d == 0]
+    assert_divisibility_order(divisors)
+    assert steps == prime_steps(divisors, (2, 3, 5, 7, 11, 13))
+
+
+class _TallyBytes(bytearray):
+    """A mask whose repeat records the bytes it fills and whose stores record the entries each writes."""
+
+    filled = 0
+
+    def __mul__(self, n):
+        out = _TallyBytes(bytearray.__mul__(self, n))
+        out.filled, out.stores = len(out), []
+        return out
+
+    def __setitem__(self, key, value):
+        self.stores.append(len(value) if isinstance(key, slice) else 1)
+        bytearray.__setitem__(self, key, value)
+
+
+class _TallyArray(array):
+    """_TallyBytes for the gcd table's blocks."""
+
+    filled = 0
+
+    def __mul__(self, n):
+        out = _TallyArray(self.typecode, array.__mul__(self, n))
+        out.filled, out.stores = len(out), []
+        return out
+
+    def __setitem__(self, key, value):
+        self.stores.append(len(value) if isinstance(key, slice) else 1)
+        array.__setitem__(self, key, value)
+
+
+# m^k past the class gate (720720 at k >= 2) is left out.
+_SIEVE_CASES = [(m, k) for m in (1, 7, 2**5, 720720) for k in (1, 2, 3) if m**k <= MAX_TABLE_CLASSES]
+_SIEVE_CASES += [(m, k) for k in (1, 2, 3) for m in range(2, 25)]
+
+
+def test_kth_reduced_mask_writes_exact_counts(monkeypatch):
+    # One repeat fills the m**k bytes, then one store a prime zeroes its m**k / p**k classes:
+    # a per-class loop would store one entry at a time.
+    monkeypatch.setattr(arith, "bytearray", _TallyBytes, raising=False)
+    for m, k in _SIEVE_CASES:
+        mask, _, _ = kth_reduced_mask(m, k)
+        assert mask.filled == len(mask) == m**k, (m, k)
+        assert mask.stores == [m**k // p**k for p, _ in factorize(m)], (m, k)
+        assert mask.count(1) == cohen_phi(m, k), (m, k)
+
+
+def test_kth_blocks_write_exact_counts(monkeypatch):
+    # Each block of n classes is filled once, then each divisor d > 1 of m, in lattice
+    # order, stores its multiples of d**k in the block in one stroke.  Over the stream that
+    # is sum_{d | m} m**k / d**k entries.
+    blocks = []
+    block = arith._kth_block
+
+    def recording(divisors, k, offset, n):
+        blocks.append((offset, n, block(divisors, k, offset, n)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(arith, "array", _TallyArray)
+    monkeypatch.setattr(arith, "_kth_block", recording)
+    for m, k in _SIEVE_CASES:
+        blocks.clear()
+        mk, _, divisors, _ = arith._literal_lattice(m, k, None)
+        assert sum(kth_gcd_classes(m, k)) == pillai(m, k), (m, k)
+        assert [o for o, _, _ in blocks] == list(range(0, mk, arith._BLOCK)), (m, k)
+        for offset, n, table in blocks:
+            assert table.filled == len(table) == n, (m, k, offset)
+            strokes = [len(range(-offset % d**k, n, d**k)) for d in divisors[1:]]
+            assert table.stores == strokes, (m, k, offset)
+        written = sum(table.filled + sum(table.stores) for _, _, table in blocks)
+        assert written == sum(mk // d**k for d in divisors), (m, k)
 
 
 def test_literal_gate_runs_before_trial_division():

@@ -193,9 +193,13 @@ def rotated_sum(table, mask, s):
     return sum(compress(table, mask[r:] + mask[:r]))
 
 
-@pytest.mark.parametrize("m, k", [(30030, 1), (720720, 1), (360, 2), (60, 3)])
+@pytest.mark.parametrize(
+    "m, k",
+    [(210, 1), (2310, 1), (30030, 1), (720720, 1), (5184, 1), (210, 2), (720, 2), (360, 2), (60, 3)],
+)
 def test_menon_sums_match_the_rotated_table_sum(m, k):
-    # d(m) = 64, 240, 24 and 12: that many strides a shift, and first differences over each prime
+    # Four to six primes, and 5184 = 2^6 3^4 and 720 = 2^4 3^2 5 for high exponents: the
+    # weights' differences run over every step of the lattice, and a shift counts d(m) - 1 strides.
     mk = m**k
     table = array("I", kth_gcd_classes(m, k))
     mask = bytes(t == 1 for t in table)
