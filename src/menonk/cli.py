@@ -1,8 +1,10 @@
 """Command-line front door: single values, grid verification, tables, residues.
 
 Exit codes: 0 success (and, for verify, zero failures); 1 usage error;
-2 overflow or iteration/memory cap; 3 verification failure.  Output is
-byte-deterministic for fixed inputs and format.
+2 overflow or iteration/memory cap; 3 verification failure; 141 (128 +
+SIGPIPE) when the reader closes stdout early, with nothing on stderr.
+Only ``main`` maps that last one; ``run`` lets BrokenPipeError through.
+Output is byte-deterministic for fixed inputs and format.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LIMIT = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, from main only
 
 _RESIDUE_BLOCK = 1 << 12  # members `residues` writes at a time
 
@@ -54,11 +57,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message} (see '{self.prog} --help')")
 
 
-def _max_iterations(text: str) -> int:
+def _max_iterations(text: str, name: str = "--max-iterations") -> int:
     with contextlib.suppress(ValueError):
         if int(text) >= 1:
             return int(text)
-    raise UsageError(f"--max-iterations must be an integer >= 1, got {text!r}")
+    raise UsageError(f"{name} must be an integer >= 1, got {text!r}")
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -256,7 +259,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
         # Read per call, not at import; an explicit --max-iterations wins.
         if args.max_iterations is None and (env := os.environ.get(MAX_ITERATIONS_ENV)):
-            args.max_iterations = _max_iterations(env)
+            name = f"{MAX_ITERATIONS_ENV} (the default --max-iterations)"
+            args.max_iterations = _max_iterations(env, name)
         return args.cmd(args) or EXIT_OK
     except SystemExit as exc:  # --help, once its text is printed
         return exc.code
@@ -269,4 +273,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: say nothing more, and exit as a process killed by SIGPIPE
+        # would; devnull takes the interpreter's last flush of what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

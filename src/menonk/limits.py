@@ -7,9 +7,12 @@ domain raises ``Uint128OverflowError`` instead of quietly producing a
 number callers can no longer treat as a machine word.
 
 Every literal pass over the classes mod m**k (residue enumeration,
-direct gcd sums) goes through one gate, ``check_classes``: it visits at
-most min(cap, MAX_TABLE_CLASSES) classes, so an oversized modulus fails
-loudly instead of hanging, and a raised cap cannot exhaust memory.
+direct gcd sums, and the checks of a set the caller holds, which are
+``menon.menon_sum_over`` and ``ResidueSet.validate``) goes through one
+gate, ``check_classes``: it visits at most min(cap, MAX_TABLE_CLASSES)
+classes, so an oversized modulus fails loudly instead of hanging, and a
+raised cap cannot exhaust memory.  The checks of a held set pass
+U128_MAX as their cap, so only MAX_TABLE_CLASSES refuses them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ DEFAULT_MAX_ITERATIONS = 10_000_000
 #: iteration cap.  The literal Menon sum holds a mask byte a class, and
 #: its widest stroke or stride a transient byte at most: tracemalloc
 #: peaks at 1.5 bytes a class for three shifts at m = 2000, k = 2, and
-#: at 2.0 for m = 4 * 10**6, k = 1, so at most about 67 MB.  The
-#: standard residue set also holds its members: it peaks at 31.6 and
+#: at 2.0 for m = 4 * 10**6, k = 1, so at most about 67 MB.
+#: ``menon_sum_over`` holds a 4-byte gcd a class: it peaks at 4.2 to
+#: 4.4 bytes a class there and for m = 999983, k = 1, about 150 MB.
+#: ``ResidueSet.validate`` holds the mask, and a frozenset of the
+#: classes of a set of the right size: 71 bytes a class at m = 999983.
+#: The standard residue set also holds its members: it peaks at 31.6 and
 #: 18.2 bytes a class there, and at 42.2 for the prime m = 3999971,
 #: k = 1, about 1.4 GB at this bound.  The ``residues`` command writes
 #: that tuple's text a block at a time: its max RSS was 431 MB for the

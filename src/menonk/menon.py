@@ -18,24 +18,28 @@ alone (``menon_closed_form`` is its one-shift case): it reads
 ``factorize(m)`` once and evaluates ``cohen_phi_rule`` over it once,
 then multiplies ``d_s_k_rule`` over it for each shift; these are the
 rules the scalar ``cohen_phi`` and ``d_s_k`` evaluate.  Each route does
-its per-modulus work once.  The verify_* helpers check the lemmas of
-the proof (unit translation, multiplicativity, prime powers) and
-return verdicts instead of asserting, so callers can report a
-counterexample (which would mean an implementation bug, not a false
-identity) with full context.
+its per-modulus work once.  ``menon_sum_over`` sums over
+representatives the caller gives: it reads one table of (x, m**k)_k
+over the classes mod m**k from ``kth_gcd_classes``, so, like the other
+literal sums, it never reads ``factorize``.  The verify_* helpers
+check the lemmas of the proof (unit translation, multiplicativity,
+prime powers) and return verdicts instead of asserting, so callers can
+report a counterexample (which would mean an implementation bug, not a
+false identity) with full context.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import starmap
 from operator import mul
 from typing import Iterable, Iterator
 
 from . import arith
-from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, gcd_pow_k, kth_reduced_mask
+from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, kth_reduced_mask
 from .factor import is_prime
-from .limits import checked_mul, checked_pow
+from .limits import U128_MAX, checked_mul, checked_pow
 from .residues import standard_residue_set
 
 __all__ = [
@@ -55,13 +59,15 @@ def menon_sum_over(elements: Iterable[int], m: int, s: int, k: int) -> int:
 
     Congruence invariance of (., m**k)_k makes the result identical for
     every reduced residue set of the same modulus, so callers may pass
-    shifted representatives.
+    shifted representatives.  The values come from one table of
+    (x, m**k)_k over the classes x mod m**k, 4 bytes a class, read off
+    kth_gcd_classes.  The caller already holds the elements, so the
+    table is capped by the class bound alone: past it, or past 2^128,
+    it is refused before any element is read.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = checked_pow(m, k, "m^k")
-    # Reducing mod m**k keeps a huge |a - s| inside gcd_pow_k's domain, with the same value.
-    return sum(gcd_pow_k((a - s) % mk, mk, k) for a in elements)
+    table = array("I", arith.kth_gcd_classes(m, k, U128_MAX))
+    mk = len(table)
+    return sum(table[(a - s) % mk] for a in elements)
 
 
 def menon_sums(

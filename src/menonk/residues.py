@@ -4,7 +4,10 @@ A k-th power reduced set of residues modulo m holds phi_k(m) integers,
 one from each congruence class modulo m**k whose members satisfy
 (a, m**k)_k = 1.  Membership is a class property: (a, m**k)_k only
 depends on a mod m**k, so any system of representatives works; this
-module canonicalizes to representatives in [1, m**k], ascending.
+module canonicalizes to representatives in [1, m**k], ascending.  The
+standard set and ``ResidueSet.validate`` both read the mask of reduced
+classes from ``arith.kth_reduced_mask``, never ``factorize`` or the
+closed ``cohen_phi``.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .arith import cohen_phi, gcd_pow_k, kth_reduced_mask
-from .limits import check_classes, checked_pow
+from .arith import kth_reduced_mask
+from .limits import U128_MAX, check_classes, checked_pow
 
 __all__ = [
     "ResidueSet",
@@ -46,16 +49,21 @@ class ResidueSet:
         return frozenset(a % mk for a in self.elements)
 
     def validate(self) -> None:
-        """Raise ValueError unless all reduced-residue-set invariants hold."""
-        mk = self.modulus
-        expected = cohen_phi(self.m, self.k)
+        """Raise ValueError unless all reduced-residue-set invariants hold.
+
+        Count and membership are read off kth_reduced_mask's mask of the
+        reduced classes mod m**k.  The caller already holds the elements,
+        so the mask is capped by the class bound alone.
+        """
+        mask = kth_reduced_mask(self.m, self.k, U128_MAX)[0]
+        mk, expected = len(mask), mask.count(1)
         if len(self.elements) != expected:
             raise ValueError(
                 f"expected phi_k({self.m}) = {expected} elements, "
                 f"found {len(self.elements)}"
             )
         for a in self.elements:
-            if gcd_pow_k(a, mk, self.k) != 1:
+            if not mask[a % mk]:
                 raise ValueError(f"{a} is not k-th power coprime to {mk}")
         if len(self.classes()) != len(self.elements):
             raise ValueError("elements are not pairwise incongruent mod m^k")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -477,11 +478,38 @@ def test_usage_refusals(capsys, monkeypatch):
     monkeypatch.setenv("MENONK_MAX_ITERATIONS", "0")
     code, _, err = invoke(capsys, "compute", "phi", "--m", "4")
     assert code == EXIT_USAGE and "--max-iterations" in err
+    assert err.startswith("error: MENONK_MAX_ITERATIONS ")  # the variable, not a flag, is to blame
     monkeypatch.delenv("MENONK_MAX_ITERATIONS")
     code, _, err = invoke(capsys, "verify", "--m", "a..3", "--s", "0..0", "--k", "1")
     assert code == EXIT_USAGE and "--m bounds must be integers" in err
     code, _, err = invoke(capsys, "residues", "--m", "0", "--k", "1")
     assert code == EXIT_USAGE and "--m and --k" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--n", "200000", "--s", "1", "--k", "1", "--no-bruteforce"),
+        ("verify", "--m", "1..3000", "--s", "0..3", "--k", "1", "--verbose"),
+        ("residues", "--m", "199999", "--k", "1"),
+    ],
+    ids=["table", "verify", "residues"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # Each command writes far more than a pipe holds; the reader takes its first
+    # line (or its first 80 characters) and closes the pipe.
+    with subprocess.Popen(
+        [sys.executable, "-m", "menonk", *argv],
+        cwd=SRC,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline(80)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=30), err) == (cli.EXIT_BROKEN_PIPE, "")
+    assert cli.EXIT_BROKEN_PIPE == 128 + signal.SIGPIPE
 
 
 def test_table_out_unwritable(tmp_path, capsys):

@@ -36,7 +36,7 @@ from menonk.menon import (
     verify_prime_power,
     verify_unit_translation,
 )
-from menonk.residues import crt_combine, standard_residue_set
+from menonk.residues import ResidueSet, crt_combine, standard_residue_set
 
 
 def test_brute_force_worked_sums():
@@ -229,10 +229,26 @@ def test_no_literal_entry_point_reads_factorize(monkeypatch):
         lambda: arith.pillai_bruteforce(60, 2),
         lambda: menon_sum_bruteforce(60, 4, 2),
         lambda: standard_residue_set(60, 2),
+        lambda: menon_sum_over(standard_residue_set(60, 2).elements, 60, 4, 2),
+        lambda: verify_unit_translation(60, 4, 2, 7),
+        lambda: standard_residue_set(60, 2).validate(),
+        lambda: crt_combine(standard_residue_set(4, 2), standard_residue_set(15, 2)),
+        lambda: verify_menon_multiplicativity(4, 15, 4, 2),
     )
     expected = [literal() for literal in literals]
     monkeypatch.setattr(arith, "factorize", refuse)
     assert [literal() for literal in literals] == expected
+
+
+def test_false_factorization_leaves_the_literal_checkers_exact(monkeypatch):
+    # Were every n prime, (x, 12**2)_2 would be read as 1 or 144, and the sum as 96.
+    monkeypatch.setattr(arith, "factorize", lambda n: ((n, 1),))
+    residues = standard_residue_set(12, 2)
+    assert menon_sum_over(residues.elements, 12, 2, 2) == 576 == menon_sum_bruteforce(12, 2, 2)
+    residues.validate()  # counted against the mask, not the closed phi_2(12), here 143
+    assert len(residues) == 96
+    assert verify_unit_translation(12, 2, 2, 5)
+    assert menon_closed_form(12, 2, 2) != 576  # only the closed route believes the lie
 
 
 def test_menon_sums_checks_before_summing():
@@ -383,6 +399,8 @@ def _literal_edge_calls(m, s, k):
     """The literal public API at (m, s, k): residue sets, oracles, batch_table, verifiers."""
     return (
         lambda: standard_residue_set(m, k).elements,
+        lambda: ResidueSet(m, k, (1,)).validate(),
+        lambda: menon_sum_over([1], m, s, k),
         lambda: cohen_phi_bruteforce(m, k),
         lambda: pillai_bruteforce(m, k),
         lambda: list(batch_table(m, s, k, True)),
@@ -392,7 +410,7 @@ def _literal_edge_calls(m, s, k):
     )
 
 
-_M1_ANSWERS = ((1,), 1, 1, [BatchRow(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
+_M1_ANSWERS = ((1,), None, 1, 1, 1, [BatchRow(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
 
 
 @pytest.mark.parametrize(
@@ -403,9 +421,14 @@ _M1_ANSWERS = ((1,), 1, 1, [BatchRow(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
         (_literal_edge_calls(2**128, 2**200, 1), Uint128OverflowError),
         # a prime: the class gate refuses it before trial division, which would not end
         (_literal_edge_calls(2**127 - 1, 2**200, 1), ResourceLimitError),
+        # inside 2^128 but past the class bound, which alone caps the checks of a held set
+        (_literal_edge_calls(2**40, 0, 3), ResourceLimitError),
         ((lambda: batch_table(10**9, 1, 1),), ResourceLimitError),  # the sieve bound
     ],
-    ids=["m=1,s=2^200", "m=1,s=-2^200", "m=1,s=0", "m=2,k=10^9", "m=2^128", "m=2^127-1", "sieve"],
+    ids=[
+        "m=1,s=2^200", "m=1,s=-2^200", "m=1,s=0", "m=2,k=10^9", "m=2^128", "m=2^127-1",
+        "m=2^40,k=3", "sieve",
+    ],
 )
 def test_literal_api_answers_or_refuses_at_the_domain_edges(calls, outcome):
     start = time.perf_counter()
