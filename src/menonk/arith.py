@@ -130,9 +130,7 @@ def _literal_lattice(
     nothing with the closed forms.  The class gate runs first and bounds
     m by 2**25, so no divisor past 5792 is tried.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = check_classes(m, k, max_iterations, f"enumerating residues mod {m}^{k}")
+    mk = check_classes(m, k, max_iterations, f"a literal pass over the classes mod {m}^{k}")
     v = (m & -m).bit_length() - 1
     pairs = [(2, v)] if v else []
     n, p = m >> v, 3

@@ -9,10 +9,14 @@ number callers can no longer treat as a machine word.
 Every literal pass over the classes mod m**k (residue enumeration,
 direct gcd sums, and the checks of a set the caller holds, which are
 ``menon.menon_sum_over`` and ``ResidueSet.validate``) goes through one
-gate, ``check_classes``: it visits at most min(cap, MAX_TABLE_CLASSES)
-classes, so an oversized modulus fails loudly instead of hanging, and a
-raised cap cannot exhaust memory.  The checks of a held set pass
-U128_MAX as their cap, so only MAX_TABLE_CLASSES refuses them.
+gate, ``check_classes``: it refuses m or k below 1 with ValueError, and
+visits at most min(cap, MAX_TABLE_CLASSES) classes, so an oversized
+modulus fails loudly instead of hanging, and a raised cap cannot
+exhaust memory.  The checks of a held set pass U128_MAX as their cap,
+so only MAX_TABLE_CLASSES refuses them.  Every pass over the mask or
+the gcd table names itself "a literal pass over the classes mod m^k"
+when refused; ``crt_combine`` and the brute-force table name their own
+work.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ DEFAULT_MAX_ITERATIONS = 10_000_000
 #: at 2.0 for m = 4 * 10**6, k = 1, so at most about 67 MB.
 #: ``menon_sum_over`` holds a 4-byte gcd a class: it peaks at 4.2 to
 #: 4.4 bytes a class there and for m = 999983, k = 1, about 150 MB.
-#: ``ResidueSet.validate`` holds the mask, and a frozenset of the
-#: classes of a set of the right size: 71 bytes a class at m = 999983.
+#: ``ResidueSet.validate`` holds only the mask, marked in place: 1.0
+#: byte a class at m = 999983, k = 1 and 1.5 at m = 1000, k = 2.
 #: The standard residue set also holds its members: it peaks at 31.6 and
 #: 18.2 bytes a class there, and at 42.2 for the prime m = 3999971,
 #: k = 1, about 1.4 GB at this bound.  The ``residues`` command writes
@@ -106,9 +110,12 @@ def check_classes(m: int, k: int, max_iterations: int | None, what: str) -> int:
     """m**k, once it is known to fit the domain, the cap and MAX_TABLE_CLASSES.
 
     The one gate in front of every pass over the classes mod m**k: raises
-    Uint128OverflowError, then ResourceLimitError over the cap, then over
-    the class bound, before any class is visited.
+    ValueError for m or k below 1, then Uint128OverflowError, then
+    ResourceLimitError over the cap, then over the class bound, before
+    any class is visited.
     """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive integers")
     mk = checked_pow(m, k, "m^k")
     cap = resolve_max_iterations(max_iterations)
     if mk > cap:

@@ -141,9 +141,7 @@ def menon_closed_form(m: int, s: int, k: int) -> int:
     return total
 
 
-def verify_unit_translation(
-    m: int, s: int, k: int, l: int, max_iterations: int | None = None
-) -> bool:
+def verify_unit_translation(m: int, s: int, k: int, l: int) -> bool:
     """Check sum (a*l - s, m**k)_k = sum (a - s, m**k)_k for (l, m) = 1.
 
     Multiplying a reduced residue set by a unit permutes its classes, so
@@ -151,28 +149,24 @@ def verify_unit_translation(
     """
     if math.gcd(l, m) != 1:
         raise ValueError(f"l = {l} is not coprime to m = {m}")
-    residues = standard_residue_set(m, k, max_iterations)
+    residues = standard_residue_set(m, k)
     scaled = [a * l for a in residues.elements]
     return menon_sum_over(scaled, m, s, k) == menon_sum_over(residues.elements, m, s, k)
 
 
-def verify_menon_multiplicativity(
-    m1: int, m2: int, s: int, k: int, max_iterations: int | None = None
-) -> bool:
+def verify_menon_multiplicativity(m1: int, m2: int, s: int, k: int) -> bool:
     """Check M(m1*m2, s, k) = M(m1, s, k) * M(m2, s, k) for coprime m1, m2."""
     if m1 < 1 or m2 < 1:
         raise ValueError("moduli must be positive integers")
     if math.gcd(m1, m2) != 1:
         raise ValueError(f"moduli {m1} and {m2} are not coprime")
-    combined = menon_sum_bruteforce(m1 * m2, s, k, max_iterations)
-    part1 = menon_sum_bruteforce(m1, s, k, max_iterations)
-    part2 = menon_sum_bruteforce(m2, s, k, max_iterations)
+    combined = menon_sum_bruteforce(m1 * m2, s, k)
+    part1 = menon_sum_bruteforce(m1, s, k)
+    part2 = menon_sum_bruteforce(m2, s, k)
     return combined == part1 * part2
 
 
-def verify_prime_power(
-    p: int, v: int, s: int, k: int, max_iterations: int | None = None
-) -> bool:
+def verify_prime_power(p: int, v: int, s: int, k: int) -> bool:
     """Check the prime-power case M(p**v, s, k) = d_s_k(p**v) * phi_k(p**v).
 
     Exercises both local branches: p**k dividing s (local factor 1) and
@@ -183,4 +177,4 @@ def verify_prime_power(
     if v < 1:
         raise ValueError("v must be a positive integer")
     q = checked_pow(p, v, "p^v")
-    return menon_sum_bruteforce(q, s, k, max_iterations) == menon_closed_form(q, s, k)
+    return menon_sum_bruteforce(q, s, k) == menon_closed_form(q, s, k)

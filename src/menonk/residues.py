@@ -7,7 +7,8 @@ depends on a mod m**k, so any system of representatives works; this
 module canonicalizes to representatives in [1, m**k], ascending.  The
 standard set and ``ResidueSet.validate`` both read the mask of reduced
 classes from ``arith.kth_reduced_mask``, never ``factorize`` or the
-closed ``cohen_phi``.
+closed ``cohen_phi``.  ``validate`` marks each member's class in that
+mask, so it holds about a byte a class and no set of the members.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import compress
 
 from .arith import kth_reduced_mask
-from .limits import U128_MAX, check_classes, checked_pow
+from .limits import U128_MAX, check_classes
 
 __all__ = [
     "ResidueSet",
@@ -35,25 +36,19 @@ class ResidueSet:
     k: int
     elements: tuple[int, ...]
 
-    @property
-    def modulus(self) -> int:
-        """m**k, the modulus the congruence classes live in."""
-        return checked_pow(self.m, self.k, "m^k")
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def classes(self) -> frozenset[int]:
-        """The residue classes mod m**k, as canonical representatives in [0, m**k)."""
-        mk = self.modulus
-        return frozenset(a % mk for a in self.elements)
 
     def validate(self) -> None:
         """Raise ValueError unless all reduced-residue-set invariants hold.
 
-        Count and membership are read off kth_reduced_mask's mask of the
-        reduced classes mod m**k.  The caller already holds the elements,
-        so the mask is capped by the class bound alone.
+        Everything is read off kth_reduced_mask's mask of the reduced
+        classes mod m**k: the count first, then one pass over the
+        members, in order, that refuses a member whose class is not
+        reduced and marks each one it accepts 2.  With the count right,
+        a reduced class left at 1 means some class was hit twice.  The
+        caller already holds the elements, so the mask is capped by the
+        class bound alone.
         """
         mask = kth_reduced_mask(self.m, self.k, U128_MAX)[0]
         mk, expected = len(mask), mask.count(1)
@@ -63,9 +58,11 @@ class ResidueSet:
                 f"found {len(self.elements)}"
             )
         for a in self.elements:
-            if not mask[a % mk]:
+            x = a % mk
+            if not mask[x]:
                 raise ValueError(f"{a} is not k-th power coprime to {mk}")
-        if len(self.classes()) != len(self.elements):
+            mask[x] = 2
+        if mask.count(1):
             raise ValueError("elements are not pairwise incongruent mod m^k")
 
 

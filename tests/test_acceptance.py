@@ -162,7 +162,7 @@ def test_criterion_6_structural_lemmas():
                     standard_residue_set(m1, k), standard_residue_set(m2, k)
                 )
                 combined.validate()
-                ok &= combined.classes() == standard_residue_set(m1 * m2, k).classes()
+                ok &= combined.elements == standard_residue_set(m1 * m2, k).elements
 
     # Menon-sum multiplicativity: 50 sampled coprime pairs
     done = 0

@@ -171,7 +171,7 @@ def test_sum_independent_of_residue_representatives():
     rng = random.Random(53)
     for m, k in [(12, 1), (15, 1), (4, 2), (6, 2), (3, 3)]:
         base = standard_residue_set(m, k)
-        mk = base.modulus
+        mk = m**k
         for s in (-7, -1, 0, 1, 2, 25):
             shifted = [a + rng.randrange(-5, 6) * mk for a in base.elements]
             assert menon_sum_over(shifted, m, s, k) == menon_sum_bruteforce(m, s, k)
@@ -440,3 +440,11 @@ def test_literal_api_answers_or_refuses_at_the_domain_edges(calls, outcome):
                 call()
     # no class past m = 1's is visited, so each case takes milliseconds
     assert time.perf_counter() - start < 1.0
+
+
+def test_held_set_refusal_names_a_literal_pass():
+    with pytest.raises(ResourceLimitError) as info:
+        menon_sum_over([1], 2**40, 0, 3)
+    message = str(info.value)
+    assert message.startswith(f"a literal pass over the classes mod {2**40}^3 needs")
+    assert "enumerating" not in message

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -48,12 +49,31 @@ def test_standard_set_cap():
 
 
 def test_validate_catches_bad_sets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected phi_k"):
         ResidueSet(12, 1, (1, 5, 7)).validate()  # wrong cardinality
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="10 is not k-th power coprime to 12"):
         ResidueSet(12, 1, (1, 5, 7, 10)).validate()  # 10 not coprime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not pairwise incongruent"):
         ResidueSet(12, 1, (1, 5, 7, 17)).validate()  # 17 = 5 mod 12
+    # the messages keep their order: a repeat before a non-member reports the non-member
+    with pytest.raises(ValueError, match="10 is not k-th power coprime to 12"):
+        ResidueSet(12, 1, (1, 1, 5, 10)).validate()
+    with pytest.raises(ValueError, match="not pairwise incongruent"):
+        ResidueSet(12, 1, (1, 5, 7, 13)).validate()  # 13 = 1 mod 12
+    ResidueSet(12, 1, (13, -7, 7, 11)).validate()  # shifted representatives
+
+
+@pytest.mark.parametrize("m, k", [(999983, 1), (1000, 2)])
+def test_validate_holds_only_the_mask(m, k):
+    # the mask takes a byte a class; a set of the members' classes took about 71
+    rs = standard_residue_set(m, k)
+    tracemalloc.start()
+    try:
+        rs.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m**k, peak / m**k
 
 
 def test_crt_combine_small_example():
@@ -61,7 +81,7 @@ def test_crt_combine_small_example():
     combined.validate()
     assert combined.m == 12 and combined.k == 1
     assert len(combined) == 4
-    assert combined.classes() == standard_residue_set(12, 1).classes()
+    assert combined.elements == standard_residue_set(12, 1).elements
 
 
 def test_crt_combine_with_unit_modulus():
@@ -69,14 +89,14 @@ def test_crt_combine_with_unit_modulus():
     combined = crt_combine(standard_residue_set(1, 2), base)
     combined.validate()
     assert combined.m == 5 and len(combined) == len(base)
-    assert combined.classes() == base.classes()
+    assert combined.elements == base.elements
 
 
 def test_crt_combine_k2_example():
     combined = crt_combine(standard_residue_set(2, 2), standard_residue_set(3, 2))
     combined.validate()
     assert len(combined) == cohen_phi(2, 2) * cohen_phi(3, 2) == 3 * 8
-    assert combined.classes() == standard_residue_set(6, 2).classes()
+    assert combined.elements == standard_residue_set(6, 2).elements
 
 
 def test_crt_combine_matches_standard_classes_grid():
@@ -89,7 +109,7 @@ def test_crt_combine_matches_standard_classes_grid():
                     standard_residue_set(m1, k), standard_residue_set(m2, k)
                 )
                 combined.validate()
-                assert combined.classes() == standard_residue_set(m1 * m2, k).classes()
+                assert combined.elements == standard_residue_set(m1 * m2, k).elements
 
 
 def test_crt_combine_domain_errors():
@@ -102,6 +122,10 @@ def test_crt_combine_domain_errors():
             ResidueSet(2**40, 3, (1,)),  # hand-built; only moduli matter here
             ResidueSet(3**40, 3, (1,)),
         )
+    # m = 0 would otherwise reach a reduction mod 0**k
+    for m, k in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="m and k must be positive integers"):
+            crt_combine(ResidueSet(m, k, (1,)), ResidueSet(1, k, (1,)))
 
 
 def test_crt_combine_is_gated_before_pairing():
@@ -117,7 +141,7 @@ def test_membership_stability_under_shifts():
     rng = random.Random(41)
     for m, k in [(12, 1), (4, 2), (9, 2), (5, 3)]:
         rs = standard_residue_set(m, k)
-        mk = rs.modulus
+        mk = m**k
         for a in rs.elements:
             q = rng.randrange(-10, 11)
             assert gcd_pow_k(a + q * mk, mk, k) == 1
