@@ -58,7 +58,7 @@ from .limits import (
     Uint128OverflowError,
     bounded_pow,
     check_classes,
-    checked_pow,
+    check_power,
     ensure_u128,
 )
 
@@ -214,9 +214,7 @@ def cohen_phi(m: int, k: int) -> int:
     Counts 1 <= a <= m**k with (a, m**k)_k = 1; cohen_phi(m, 1) is the
     Euler totient.  Evaluates cohen_phi_rule(k) over the factorization.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    checked_pow(m, k, "m^k")
+    check_power(m, k)
     return eval_multiplicative(cohen_phi_rule(k), factorize(m))
 
 
@@ -266,9 +264,7 @@ def pillai(m: int, k: int) -> int:
     sum_{e=0}^{v} p**(e*k) * phi_k(p**(v-e)): sum v steps, not d(m).
     This route never reads pillai_rule(k), so each checks the other.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    checked_pow(m, k, "m^k")
+    check_power(m, k)
     phi = cohen_phi_rule(k)
     pairs = factorize(m)
     local = (p ** (v * k) + sum(p ** (e * k) * phi(p, v - e) for e in range(v)) for p, v in pairs)

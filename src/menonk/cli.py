@@ -114,7 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("empty or invalid grid: need m >= 1 and nonempty ranges")
 
     verbose = args.verbose
-    checked = passed = failed = skipped = 0
+    checked = failed = skipped = 0
     for k in ks:
         for i, m in enumerate(ms):
             try:
@@ -126,16 +126,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # Outside the try: a refusal of the closed route ends the run, it is no skip.
             rhss = menon.menon_closed_forms(m, k, ss)
             for s, lhs, rhs in zip(ss, lhss, rhss):
-                checked += 1
-                if lhs == rhs:
-                    passed += 1
-                    if verbose:
-                        print(f"ok m={m} s={s} k={k} lhs={lhs} rhs={rhs}")
-                else:
+                if lhs != rhs:
                     failed += 1
                     print(f"FAIL m={m} s={s} k={k}: lhs={lhs} rhs={rhs}")
+                elif verbose:
+                    print(f"ok m={m} s={s} k={k} lhs={lhs} rhs={rhs}")
+            checked += len(ss)
             del lhss  # frees this modulus' mask before the next one is built
-    print(f"checked={checked} passed={passed} failed={failed} skipped={skipped}")
+    print(f"checked={checked} passed={checked - failed} failed={failed} skipped={skipped}")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

@@ -6,16 +6,21 @@ enforced explicitly: an operation whose exact result would leave the
 domain raises ``Uint128OverflowError`` instead of quietly producing a
 number callers can no longer treat as a machine word.
 
+The domain of a modulus m and exponent k (m, k >= 1 and m**k < 2^128)
+is checked in one place, ``check_power``: the class gate below,
+``arith.cohen_phi``, ``arith.pillai`` and ``menon.menon_closed_forms``
+all call it, so they refuse the same pairs with the same words.
+
 Every literal pass over the classes mod m**k (residue enumeration,
 direct gcd sums, and the checks of a set the caller holds, which are
 ``menon.menon_sum_over`` and ``ResidueSet.validate``) goes through one
-gate, ``check_classes``: it refuses m or k below 1 with ValueError, and
-visits at most min(cap, MAX_TABLE_CLASSES) classes, so an oversized
-modulus fails loudly instead of hanging, and a raised cap cannot
-exhaust memory.  The checks of a held set pass U128_MAX as their cap,
-so only MAX_TABLE_CLASSES refuses them.  Every pass over the mask or
-the gcd table names itself "a literal pass over the classes mod m^k"
-when refused; ``crt_combine`` and the brute-force table name their own
+gate, ``check_classes``: it runs ``check_power``, then visits at most
+min(cap, MAX_TABLE_CLASSES) classes, so an oversized modulus fails
+loudly instead of hanging, and a raised cap cannot exhaust memory.
+The checks of a held set pass U128_MAX as their cap, so only
+MAX_TABLE_CLASSES refuses them.  Every pass over the mask or the gcd
+table names itself "a literal pass over the classes mod m^k" when
+refused; ``crt_combine`` and the brute-force table name their own
 work.
 """
 
@@ -92,11 +97,6 @@ def bounded_pow(base: int, exp: int, bound: int) -> int | None:
     return value if value <= bound else None
 
 
-def checked_mul(a: int, b: int, what: str = "product") -> int:
-    """a*b, raising Uint128OverflowError rather than leaving the domain."""
-    return ensure_u128(a * b, what)
-
-
 def resolve_max_iterations(max_iterations: int | None) -> int:
     """Fill in the default cap and reject nonsense values."""
     if max_iterations is None:
@@ -106,17 +106,25 @@ def resolve_max_iterations(max_iterations: int | None) -> int:
     return max_iterations
 
 
+def check_power(m: int, k: int) -> int:
+    """m**k for positive integers m and k whose power fits the domain.
+
+    The one domain rule for a modulus m and exponent k: raises
+    ValueError for m or k below 1, then Uint128OverflowError past 2^128.
+    """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive integers")
+    return checked_pow(m, k, "m^k")
+
+
 def check_classes(m: int, k: int, max_iterations: int | None, what: str) -> int:
     """m**k, once it is known to fit the domain, the cap and MAX_TABLE_CLASSES.
 
     The one gate in front of every pass over the classes mod m**k: raises
-    ValueError for m or k below 1, then Uint128OverflowError, then
-    ResourceLimitError over the cap, then over the class bound, before
-    any class is visited.
+    as ``check_power`` does, then ResourceLimitError over the cap, then
+    over the class bound, before any class is visited.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    mk = checked_pow(m, k, "m^k")
+    mk = check_power(m, k)
     cap = resolve_max_iterations(max_iterations)
     if mk > cap:
         raise ResourceLimitError(f"{what} needs {mk} iterations, over the cap of {cap}")

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 from . import arith
 from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, kth_reduced_mask
 from .factor import is_prime
-from .limits import U128_MAX, checked_mul, checked_pow
+from .limits import U128_MAX, check_power, checked_pow, ensure_u128
 from .residues import standard_residue_set
 
 __all__ = [
@@ -114,23 +114,21 @@ def menon_sum_bruteforce(m: int, s: int, k: int, max_iterations: int | None = No
 def menon_closed_forms(m: int, k: int, shifts: Iterable[int]) -> Iterator[int]:
     """M(m, s, k) = d_s_k(m, s, k) * phi_k(m) for each s in ``shifts``, in order.
 
-    Here, at the call, m and k are checked, m**k past 2^128 is refused
-    with cohen_phi's message before anything factors m, and
+    Here, at the call, m and k are checked by ``limits.check_power``, as
+    cohen_phi checks them, before anything factors m, and
     ``factorize(m)`` is read once and phi_k(m) evaluated over it once.
     Each product is then taken lazily: d_s_k_rule(s, k) over the same
     factorization, times phi_k(m).  d_s_k(m) <= d(m), so only the
     product needs a domain check.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    checked_pow(m, k, "m^k")
+    check_power(m, k)
     # Looked up through arith at call time, where the scalar closed forms look it up too.
     pairs = arith.factorize(m)
     phi_k = eval_multiplicative(cohen_phi_rule(k), pairs)
 
     def closed(s: int) -> int:
         d = math.prod(starmap(d_s_k_rule(s, k), pairs))
-        return checked_mul(d, phi_k, "d_s_k(m) * phi_k(m)")
+        return ensure_u128(d * phi_k, "d_s_k(m) * phi_k(m)")
 
     return map(closed, shifts)
 

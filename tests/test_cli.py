@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 from menonk import arith, batch, cli, factor, menon, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
-from menonk.limits import checked_mul
+from menonk.limits import ensure_u128
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -287,8 +288,8 @@ def test_verify_closed_route_refusal_ends_the_run(capsys, monkeypatch, at_the_ca
         if m != 3:
             return real(m, k, shifts)
         if at_the_call:
-            checked_mul(2**64, 2**64, "d_s_k(m) * phi_k(m)")
-        return (checked_mul(2**64, 2**64, "d_s_k(m) * phi_k(m)") for _ in shifts)
+            ensure_u128(2**64 * 2**64, "d_s_k(m) * phi_k(m)")
+        return (ensure_u128(2**64 * 2**64, "d_s_k(m) * phi_k(m)") for _ in shifts)
 
     monkeypatch.setattr(menon, "menon_closed_forms", refusing)
     code, out, err = invoke(capsys, "verify", "--m", "1..5", "--s", "0..1", "--k", "2", "--verbose")
@@ -319,6 +320,109 @@ def test_false_factorization_fails_only_the_closed_route(capsys, monkeypatch):
     for argv, truth in zip(argvs, truths):
         assert truth[0] == EXIT_OK, argv
         assert invoke(capsys, *argv) == truth, argv
+
+
+def _plus_one_at(p0):
+    def wrap(real):
+        def factory(k):
+            rule = real(k)
+            return lambda p, v: rule(p, v) + (p == p0)
+
+        return factory
+
+    return wrap
+
+
+def _lie_about(n, pairs):
+    return lambda real: lambda m: pairs if m == n else real(m)
+
+
+def _drop_last_prime_of_30(real):
+    def lattice(m, k, cap):
+        mk, primes, divisors, steps = real(m, k, cap)
+        return mk, primes[:-1] if m == 30 else primes, divisors, steps
+
+    return lattice
+
+
+def _zero_class_1_mod_49(real):
+    def mask_of(m, k, cap=None):
+        mask, divisors, steps = real(m, k, cap)
+        if len(mask) % 49 == 0:
+            mask[1::49] = bytes(len(mask) // 49)
+        return mask, divisors, steps
+
+    return mask_of
+
+
+def _drop_last_step(real):
+    def mask_of(m, k, cap=None):
+        mask, divisors, steps = real(m, k, cap)
+        return mask, divisors, steps[:-1]
+
+    return mask_of
+
+
+_GRID = ("verify", "--m", "1..60", "--s", "-6..6", "--k", "1,2", "--verbose")
+_POINT = re.compile(r"(?:ok|FAIL) m=(\d+) s=(-?\d+) k=(\d+):? lhs=(\d+) rhs=(\d+)")
+
+
+def _route_columns(capsys, faulted):
+    """(exit code, the faulted route's column, the other route's column) over the grid."""
+    if faulted == "table":
+        # The table's Pillai column takes the rules; arith.pillai takes the divisor sum.
+        table, divisor_sum = {}, {}
+        for k in (1, 2):
+            code, out, _ = invoke(capsys, "table", "--n", "60", "--s", "0", "--k", str(k),
+                                  "--format", "csv", "--no-bruteforce")
+            assert code == EXIT_OK
+            for row in out.splitlines()[1:]:
+                cells = row.split(",")
+                m = int(cells[0])
+                table[m, k], divisor_sum[m, k] = int(cells[3]), arith.pillai(m, k)
+        return code, table, divisor_sum
+    code, out, _ = invoke(capsys, *_GRID)
+    *lines, summary = out.splitlines()
+    points = [_POINT.fullmatch(line).groups() for line in lines]
+    assert len(points) == 60 * 13 * 2 and summary.startswith("checked=1560 ")
+    lhs, rhs = ({p[:3]: p[i] for p in points} for i in (3, 4))
+    return (code, rhs, lhs) if faulted == "closed" else (code, lhs, rhs)
+
+
+# Each route is the other's oracle: a one-line fault in either must fail the grid,
+# while the other route's column stays what a clean run gives.  Blind spot: the class
+# gate keeps verify's m below 2^25 < 9973^2, so no grid here reaches ECM, the Lucas
+# test or the perfect-power step of factorize; those are checked against sympy only.
+@pytest.mark.parametrize(
+    "faulted, module, name, wrap",
+    [
+        pytest.param("closed", menon, "d_s_k_rule", lambda real: lambda s, k: real(s, 1),
+                     id="d_s_k_rule-tests-p-not-p^k"),
+        pytest.param("closed", menon, "cohen_phi_rule", _plus_one_at(7), id="phi_k-plus-one-at-7"),
+        pytest.param("closed", arith, "factorize", _lie_about(15, ((15, 1),)),
+                     id="factorize-15-prime"),
+        pytest.param("closed", arith, "factorize", _lie_about(16, ((2, 5),)),
+                     id="factorize-16-as-2^5"),
+        pytest.param("literal", arith, "_literal_lattice", _drop_last_prime_of_30,
+                     id="lattice-drops-a-prime-of-30"),
+        pytest.param("literal", menon, "kth_reduced_mask", _zero_class_1_mod_49,
+                     id="mask-zeroes-1-mod-49"),
+        pytest.param("literal", menon, "kth_reduced_mask", _drop_last_step,
+                     id="weights-miss-the-last-step"),
+        pytest.param("table", batch, "pillai_rule", _plus_one_at(5),
+                     id="table-pillai-plus-one-at-5"),
+    ],
+)
+def test_fault_matrix(capsys, monkeypatch, faulted, module, name, wrap):
+    _, clean, clean_other = _route_columns(capsys, faulted)
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, column, other = _route_columns(capsys, faulted)
+    assert other == clean_other and column != clean
+    if faulted == "table":
+        # The table checks its Pillai column against nothing: only this cross-check sees it.
+        assert clean == clean_other and column != other
+    else:
+        assert code == EXIT_VERIFY_FAILED
 
 
 def test_table_csv(capsys):

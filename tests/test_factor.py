@@ -267,3 +267,35 @@ def test_ecm_refusal_is_not_cached(monkeypatch):
         with pytest.raises(ResourceLimitError, match=f"^{message}$"):
             factorize(n)
     assert factorize(n) == ((2**30 - 35, 1), (2**61 - 1, 1))
+
+
+def test_ladder_matches_an_addition_chain():
+    # The ladder's last swap is taken for odd j >= 3 only: every j up to 39 must give
+    # the x-coordinates of jP and (j+1)P that one xadd a step gives.
+    p = 2**61 - 1
+    rng = random.Random(23)
+    a24, x0 = rng.randrange(2, p), rng.randrange(2, p)
+    point = (x0, 1)
+    s, d = (x0 + 1) ** 2 % p, (x0 - 1) ** 2 % p
+    chain = [None, point, (s * d % p, (s - d) * (d + a24 * (s - d)) % p)]  # chain[j] = jP
+    while len(chain) <= 40:
+        chain.append(factor._xadd(chain[-1], point, chain[-2], p))
+
+    def x(q):
+        return q[0] * pow(q[1], -1, p) % p
+
+    for j in range(1, 40):
+        lo, hi = factor._ladder(j, point, a24, p)
+        assert (x(lo), x(hi)) == (x(chain[j]), x(chain[j + 1])), j
+
+
+def test_ecm_resieve_matches_the_small_primes(monkeypatch):
+    # Past _TRIAL_BOUND each curve sieves its own stage-1 primes.  With the bound
+    # lowered to 100 every curve does, and must draw the same curves to the same end.
+    semiprimes = ((2**30 - 35) * (2**61 - 1), 1000003 * 1000033, 10007 * (2**61 - 1))
+    default = [factor._ecm_split(n, random.Random(factor._ECM_SEED), 1 << 22) for n in semiprimes]
+    sieves, sieve = [], factor.smallest_prime_factors
+    monkeypatch.setattr(factor, "smallest_prime_factors", lambda n: sieves.append(n) or sieve(n))
+    monkeypatch.setattr(factor, "_TRIAL_BOUND", 100)
+    resieved = [factor._ecm_split(n, random.Random(factor._ECM_SEED), 1 << 22) for n in semiprimes]
+    assert resieved == default and len(sieves) >= len(semiprimes)

@@ -70,24 +70,33 @@ def test_closed_form_specializations():
 
 def test_closed_form_is_the_product_of_the_scalar_closed_forms():
     # menon_closed_forms evaluates both rules over one factorization: it must give what
-    # the scalar closed forms give, shift by shift, and refuse what cohen_phi refuses,
-    # word for word, even with no shift.  menon_closed_form is its one-shift case.
+    # the scalar closed forms give, shift by shift.  menon_closed_form is its one-shift case.
     for m in range(1, 61):
         for k in (1, 2, 3):
             shifts = [*range(-40, 41), 0, 2**200, -(2**200), -(6**k * 5**k), m**k]
             expected = [d_s_k(m, s, k) * cohen_phi(m, k) for s in shifts]
             assert list(menon_closed_forms(m, k, shifts)) == expected, (m, k)
             assert [menon_closed_form(m, s, k) for s in shifts] == expected, (m, k)
-    for m, k in ((2**64, 2), (0, 2), (4, 0), (0, 0)):
-        with pytest.raises((ValueError, Uint128OverflowError)) as phi:
-            cohen_phi(m, k)
-        with pytest.raises(type(phi.value)) as closed:
-            menon_closed_forms(m, k, ())
-        assert str(closed.value) == str(phi.value), (m, k)
-        for s in (0, 1, 2**200):
-            with pytest.raises(type(phi.value)) as closed:
-                menon_closed_form(m, s, k)
-            assert str(closed.value) == str(phi.value), (m, s, k)
+    # The scalar closed forms, the many-shift closed route (even with no shift) and the
+    # literal gate share one domain check: each refuses these pairs with the same words.
+    refusals = {
+        (2**64, 2): (Uint128OverflowError, f"m^k = {2**64}^2 is outside [0, 2^128)"),
+        (0, 2): (ValueError, "m and k must be positive integers"),
+        (4, 0): (ValueError, "m and k must be positive integers"),
+        (0, 0): (ValueError, "m and k must be positive integers"),
+    }
+    for (m, k), (error, message) in refusals.items():
+        calls = [
+            partial(cohen_phi, m, k),
+            partial(pillai, m, k),
+            partial(menon_closed_forms, m, k, ()),
+            partial(arith.kth_reduced_mask, m, k),
+            *(partial(menon_closed_form, m, s, k) for s in (0, 1, 2**200)),
+        ]
+        for call in calls:
+            with pytest.raises(error) as refused:
+                call()
+            assert type(refused.value) is error and str(refused.value) == message, (call, m, k)
 
 
 def test_s_zero_degenerate_case():
