@@ -34,14 +34,14 @@ is set to d**k, and the last stroke on a class is its own D.
 ``kth_gcd_classes(m, k)`` streams that table in fixed blocks, for the
 two oracles.  The reduced classes are those that no p**k with p | m
 divides; ``kth_reduced_mask(m, k)`` strokes their mask over all classes
-at once and returns it with m's divisor lattice (its divisors in mixed
-radix order, prime by prime, and the prime steps d -> p * d between
-them) for ``menon.menon_sums``; the standard residue set reads only the
-mask.
-One private step factors m and lays out that lattice, for both passes,
-after the one budget gate ``limits.check_classes`` (at most
-min(cap, 2**25) classes).  ``pillai``'s divisor sum reads only the
-exponents of ``factorize(m)``.
+at once and returns it with, for each divisor d > 1 of m, the stride
+d**k and the weight phi_k(d), for ``menon.menon_sums``; the weights
+come from the divisor lattice alone, by Moebius differences along its
+prime steps.  The residue sets read only the mask.
+One private step factors m and lays out that lattice (its divisors and
+the prime steps between them), for both passes, after the one budget
+gate ``limits.check_classes`` (at most min(cap, 2**25) classes).
+``pillai``'s divisor sum reads only the exponents of ``factorize(m)``.
 """
 
 from __future__ import annotations
@@ -123,12 +123,18 @@ _BLOCK = 1 << 16
 def _literal_lattice(
     m: int, k: int, max_iterations: int | None
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
-    """m**k, m's primes, and its divisors and steps as kth_reduced_mask returns them.
+    """m**k, m's primes, and its divisors and prime steps.
 
     m is factored here by trial division, by 2 and then by odd
     candidates only, not by ``factorize``, so the literal route shares
     nothing with the closed forms.  The class gate runs first and bounds
     m by 2**25, so no divisor past 5792 is tried.
+
+    The divisors come in mixed radix order: with m's primes p_1 < p_2 < ...
+    and t_i the number of divisors of p_1**v_1 * ... * p_(i-1)**v_(i-1),
+    d = prod p_i**e_i sits at index sum e_i * t_i, so d | D puts d no
+    later than D.  A step (i, j) has divisors[j] = p * divisors[i] for a
+    prime p of m, listed prime by prime with i ascending.
     """
     mk = check_classes(m, k, max_iterations, f"a literal pass over the classes mod {m}^{k}")
     v = (m & -m).bit_length() - 1
@@ -172,16 +178,16 @@ def _kth_block(divisors: list[int], k: int, offset: int, n: int) -> array:
 
 def kth_reduced_mask(
     m: int, k: int, max_iterations: int | None = None
-) -> tuple[bytearray, list[int], list[tuple[int, int]]]:
-    """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, with m's divisors and prime steps.
+) -> tuple[bytearray, list[int], list[int]]:
+    """The mask (x, m**k)_k == 1 over x = 0, ..., m**k - 1, with strides and weights.
 
-    The divisors come in mixed radix order: with m's primes p_1 < p_2 < ...
-    and t_i the number of divisors of p_1**v_1 * ... * p_(i-1)**v_(i-1),
-    d = prod p_i**e_i sits at index sum e_i * t_i, so d | D puts d no
-    later than D.  A step (i, j) has divisors[j] = p * divisors[i] for a
-    prime p of m, listed prime by prime with i ascending.  A class is
-    reduced when no p**k with p | m divides it, so each p zeroes every
-    p**k-th byte.  Gated by ``limits.check_classes`` before anything
+    A class is reduced when no p**k with p | m divides it, so each p
+    zeroes every p**k-th byte.  For the divisors d > 1 of m, in the
+    lattice's order, strides[i] is d**k and weights[i] is phi_k(d), the
+    Moebius transform of the values d**k: sum_{e | d} mu(d / e) * e**k.
+    The weights come from the lattice alone, never from ``factorize``
+    or ``cohen_phi_rule``, by w[pd] -= w[d] along the prime steps in
+    reverse order.  Gated by ``limits.check_classes`` before anything
     is allocated.
     """
     mk, primes, divisors, steps = _literal_lattice(m, k, max_iterations)
@@ -189,7 +195,12 @@ def kth_reduced_mask(
     for p in primes:
         q = p**k
         mask[::q] = bytes(mk // q)
-    return mask, divisors, steps
+    weights = [d**k for d in divisors]
+    strides = weights[1:]
+    for i, j in reversed(steps):
+        weights[j] -= weights[i]
+    # No step ends at divisor 1, whose weight phi_k(1) = 1 is dropped with its stride.
+    return mask, strides, weights[1:]
 
 
 def kth_gcd_classes(m: int, k: int, max_iterations: int | None = None) -> Iterator[int]:

@@ -12,9 +12,10 @@ product of its prime-power rules (arith's ``cohen_phi_rule``,
 chain.  Rule values are cached for the powers of the primes up to
 isqrt(N) and for the larger primes up to N // 8, which recur.  The
 Pillai column takes that multiplicative route rather than
-arith.pillai's divisor sum, giving the table an independent path to
-cross-check.  ``BatchRow`` is a named tuple whose fields are the
-table's column order.
+arith.pillai's divisor sum.  No command compares the two; only the
+tests do (``test_batch`` and the fault matrix in ``test_cli``), so the
+table prints the column unchecked.  ``BatchRow`` is a named tuple whose
+fields are the table's column order.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import arith, batch, menon
-from .limits import MAX_ITERATIONS_ENV, ResourceLimitError, Uint128OverflowError
+from .limits import DEFAULT_MAX_ITERATIONS, MAX_ITERATIONS_ENV, ResourceLimitError, Uint128OverflowError
 from .residues import standard_residue_set
 
 EXIT_OK = 0
@@ -212,7 +212,7 @@ def cmd_residues(args: argparse.Namespace) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="menonk", description=__doc__.partition("\n")[0])
     parser.add_argument("--max-iterations", type=_max_iterations, help="Override the brute-force "
-                        f"loop cap (default 10^7; also read from ${MAX_ITERATIONS_ENV}).")
+                        f"loop cap (default {DEFAULT_MAX_ITERATIONS}; also read from ${MAX_ITERATIONS_ENV}).")
     commands = parser.add_subparsers(dest="command", required=True, prog="menonk")
 
     def command(fn, **kwargs) -> _Parser:

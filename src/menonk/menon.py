@@ -10,21 +10,22 @@ positive integers m, k.  The one-shift functions here take the
 modulus, s and k as plain integers; the many-shift ones take m, k and
 an iterable of shifts.  ``menon_sums`` evaluates the sum literally for
 many shifts at once (``menon_sum_bruteforce`` is its one-shift case):
-it turns the gcd values d**k into one weight per divisor of m, once,
-and then, for each shift, counts the reduced classes along each
-divisor's stride and weighs each count.  ``menon_closed_forms``
-evaluates the product side for the same shifts from the factorization
-alone (``menon_closed_form`` is its one-shift case): it reads
-``factorize(m)`` once and evaluates ``cohen_phi_rule`` over it once,
-then multiplies ``d_s_k_rule`` over it for each shift; these are the
+it reads the reduced classes, each divisor's stride and its weight
+from ``kth_reduced_mask`` once, and then, for each shift, counts the
+reduced classes along each stride and weighs each count.
+``menon_closed_forms`` evaluates the product side for the same shifts
+from the factorization alone (``menon_closed_form`` is its one-shift
+case): it reads ``factorize(m)`` once and evaluates ``cohen_phi_rule``
+over it once, then multiplies ``d_s_k_rule`` over it for each shift; these are the
 rules the scalar ``cohen_phi`` and ``d_s_k`` evaluate.  Each route does
 its per-modulus work once.  ``menon_sum_over`` sums over
 representatives the caller gives: it reads one table of (x, m**k)_k
 over the classes mod m**k from ``kth_gcd_classes``, so, like the other
 literal sums, it never reads ``factorize``.  The verify_* helpers
 check the lemmas of the proof (unit translation, multiplicativity,
-prime powers) and return verdicts instead of asserting, so callers can
-report a counterexample (which would mean an implementation bug, not a
+prime powers), each across two literal sums or the two routes, and
+return verdicts instead of asserting, so callers can report a
+counterexample (which would mean an implementation bug, not a
 false identity) with full context.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import starmap
+from itertools import compress, starmap
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -40,7 +41,6 @@ from . import arith
 from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, kth_reduced_mask
 from .factor import is_prime
 from .limits import U128_MAX, check_power, checked_pow, ensure_u128
-from .residues import standard_residue_set
 
 __all__ = [
     "menon_sum_over",
@@ -75,29 +75,22 @@ def menon_sums(
 ) -> Iterator[int]:
     """M(m, s, k) for each s in ``shifts``, in order, by direct count.
 
-    The mask of the reduced classes mod m**k, m's divisors and their
-    prime steps come once, here, from kth_reduced_mask, and so do the
-    weights; each sum is then taken lazily.  The divisors d of m with
-    d**k | a - s are exactly those of D, where D**k = (a - s, m**k)_k.
-    So N[d], the number of reduced a with d**k | a - s, is the mask
-    counted along the stride mask[s mod d**k :: d**k], and
+    The mask of the reduced classes mod m**k, and the stride d**k and
+    weight phi_k(d) of each divisor d > 1 of m, come once, here, from
+    kth_reduced_mask; each sum is then taken lazily.  The divisors d of
+    m with d**k | a - s are exactly those of D, where
+    D**k = (a - s, m**k)_k.  So N[d], the number of reduced a with
+    d**k | a - s, is the mask counted along the stride
+    mask[s mod d**k :: d**k], and
     M(m, s, k) = sum over D of D**k * #{reduced a : (a - s, m**k)_k = D**k}
-    is sum w[d] * N[d], where w is the Moebius transform of the values
-    d**k over m's divisors: w[d] = sum_{e | d} mu(d / e) * e**k, which
-    is phi_k(d).  The weights come from the lattice alone, by
-    w[pd] -= w[d] along the steps in reverse order: the transpose of
-    the first differences N[d] -= N[pd] along the steps in order.  A
-    shift then costs its strided counts, in C, and one dot product.
-    The mask is refused, before anything is allocated, by the class
-    gate.
+    is sum phi_k(d) * N[d] over m's divisors, since phi_k is the Moebius
+    transform of the values d**k.  Divisor 1 has weight 1 and counts
+    every reduced class.  A shift then costs its strided counts, in C,
+    and one dot product.  The mask is refused, before anything is
+    allocated, by the class gate.
     """
-    mask, divisors, steps = kth_reduced_mask(m, k, max_iterations)
-    weights = [d**k for d in divisors]
-    strides = weights[1:]
-    for i, j in reversed(steps):
-        weights[j] -= weights[i]
-    # No step ends at divisor 1, so its weight stays phi_k(1) = 1.
-    reduced, weights = mask.count(1), weights[1:]
+    mask, strides, weights = kth_reduced_mask(m, k, max_iterations)
+    reduced = mask.count(1)
 
     def total(s: int) -> int:
         return reduced + sum(map(mul, [mask[s % q :: q].count(1) for q in strides], weights))
@@ -140,16 +133,21 @@ def menon_closed_form(m: int, s: int, k: int) -> int:
 
 
 def verify_unit_translation(m: int, s: int, k: int, l: int) -> bool:
-    """Check sum (a*l - s, m**k)_k = sum (a - s, m**k)_k for (l, m) = 1.
+    """Check sum (a*l - s, m**k)_k = M(m, s, k) for (l, m) = 1.
 
     Multiplying a reduced residue set by a unit permutes its classes, so
-    equality must hold; False signals a bug.
+    equality must hold; False signals a bug.  The reduced classes are
+    read off kth_reduced_mask's mask (the default cap gates it) and
+    scaled by l lazily; ``menon_sum_over`` sums the scaled classes from
+    its gcd table, and ``menon_sum_bruteforce`` gives M(m, s, k) from its
+    strided counts, so two literal sums are compared.  It holds the mask
+    and the gcd table, about 7 bytes a class.
     """
     if math.gcd(l, m) != 1:
         raise ValueError(f"l = {l} is not coprime to m = {m}")
-    residues = standard_residue_set(m, k)
-    scaled = [a * l for a in residues.elements]
-    return menon_sum_over(scaled, m, s, k) == menon_sum_over(residues.elements, m, s, k)
+    mask = kth_reduced_mask(m, k)[0]
+    scaled = (a * l for a in compress(range(len(mask)), mask))
+    return menon_sum_over(scaled, m, s, k) == menon_sum_bruteforce(m, s, k)
 
 
 def verify_menon_multiplicativity(m1: int, m2: int, s: int, k: int) -> bool:

@@ -416,11 +416,15 @@ def test_kth_gcd_classes_cross_blocks():
     classes = list(kth_gcd_classes(m, k))
     assert len(classes) == mk
     assert all(classes[x] == gcd_pow_k(x, mk, k) for x in range(mk))
-    mask, divisors, steps = kth_reduced_mask(m, k)
+    mask, strides, weights = kth_reduced_mask(m, k)
     assert list(mask) == [t == 1 for t in classes]
+    _, _, divisors, steps = arith._literal_lattice(m, k, None)
     assert sorted(divisors) == [d for d in range(1, m + 1) if m % d == 0]
     assert_divisibility_order(divisors)
     assert steps == prime_steps(divisors, (2, 3, 5))
+    # One stride d**k and one weight phi_k(d) for each divisor d > 1, in lattice order.
+    assert strides == [d**k for d in divisors[1:]]
+    assert weights == [cohen_phi(d, k) for d in divisors[1:]]
 
 
 def test_literal_pass_takes_no_gcd_per_class(monkeypatch):

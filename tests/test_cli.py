@@ -17,7 +17,7 @@ import pytest
 
 from menonk import arith, batch, cli, factor, menon, residues
 from menonk.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, run
-from menonk.limits import ensure_u128
+from menonk.limits import DEFAULT_MAX_ITERATIONS, ensure_u128
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -345,20 +345,28 @@ def _drop_last_prime_of_30(real):
     return lattice
 
 
+def _drop_last_step(real):
+    def lattice(m, k, cap):
+        mk, primes, divisors, steps = real(m, k, cap)
+        return mk, primes, divisors, steps[:-1]
+
+    return lattice
+
+
 def _zero_class_1_mod_49(real):
     def mask_of(m, k, cap=None):
-        mask, divisors, steps = real(m, k, cap)
+        mask, strides, weights = real(m, k, cap)
         if len(mask) % 49 == 0:
             mask[1::49] = bytes(len(mask) // 49)
-        return mask, divisors, steps
+        return mask, strides, weights
 
     return mask_of
 
 
-def _drop_last_step(real):
+def _last_stride_plus_one(real):
     def mask_of(m, k, cap=None):
-        mask, divisors, steps = real(m, k, cap)
-        return mask, divisors, steps[:-1]
+        mask, strides, weights = real(m, k, cap)
+        return mask, strides[:-1] + [q + 1 for q in strides[-1:]], weights
 
     return mask_of
 
@@ -407,8 +415,10 @@ def _route_columns(capsys, faulted):
                      id="lattice-drops-a-prime-of-30"),
         pytest.param("literal", menon, "kth_reduced_mask", _zero_class_1_mod_49,
                      id="mask-zeroes-1-mod-49"),
-        pytest.param("literal", menon, "kth_reduced_mask", _drop_last_step,
+        pytest.param("literal", arith, "_literal_lattice", _drop_last_step,
                      id="weights-miss-the-last-step"),
+        pytest.param("literal", menon, "kth_reduced_mask", _last_stride_plus_one,
+                     id="last-stride-plus-one"),
         pytest.param("table", batch, "pillai_rule", _plus_one_at(5),
                      id="table-pillai-plus-one-at-5"),
     ],
@@ -709,6 +719,7 @@ def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == EXIT_OK and "compute" in out
     assert out.startswith("usage:")
+    assert f"(default {DEFAULT_MAX_ITERATIONS};" in " ".join(out.split())
     # argparse ends --help with SystemExit(0); run returns that code instead of raising it
     code, out, _ = invoke(capsys, "table", "--help")
     assert code == EXIT_OK and out.startswith("usage:") and "--with-bruteforce" in out

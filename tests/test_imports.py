@@ -5,14 +5,18 @@ uses a name by listing it in ``__all__``), no module imports a
 private ``_name`` from another menonk module, every private
 module-level name is read somewhere in its own module, every name in a
 module's ``__all__`` is bound at its top level, and no absolute import
-reaches past the standard library and ``menonk`` itself.
+reaches past the standard library and ``menonk`` itself.  Every
+module also parses under the grammar of the oldest Python the package
+declares.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "menonk"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "menonk"
 
 
 def imported_names(tree):
@@ -116,3 +120,16 @@ def test_standard_library_only():
             outside = [m for m in modules if m.split(".")[0] not in allowed]
             problems += [f"{path.name}: imports {m}" for m in outside]
     assert problems == []
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every source parses under the grammar of the oldest Python pyproject.toml allows.
+
+    This checks grammar only (say, no ``except*`` or ``type`` statement
+    below 3.11 and 3.12), not which standard library names that Python
+    has; only a run on it checks those.
+    """
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from array import array
 from fractions import Fraction
 from functools import partial
@@ -152,6 +153,18 @@ def test_unit_translation_sampled():
         s = rng.randrange(-25, 26)
         assert verify_unit_translation(m, s, k, l), (m, s, k, l)
         done += 1
+
+
+@pytest.mark.parametrize("m, k", [(99991, 1), (300, 2)])
+def test_unit_translation_holds_the_mask_and_the_table(m, k):
+    # a byte a class for the mask and 4 for the gcd table, with no set of the members
+    tracemalloc.start()
+    try:
+        assert verify_unit_translation(m, 5, k, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m**k, peak / m**k
 
 
 def test_multiplicativity():
@@ -309,9 +322,9 @@ def test_menon_sums_read_sigma_minus_k_bytes_a_shift(monkeypatch):
     masks = []
 
     def tallying(m, k, max_iterations=None):
-        mask, divisors, steps = arith.kth_reduced_mask(m, k, max_iterations)
+        mask, strides, weights = arith.kth_reduced_mask(m, k, max_iterations)
         masks.append(_TallyMask(mask))
-        return masks[-1], divisors, steps
+        return masks[-1], strides, weights
 
     monkeypatch.setattr(menon, "kth_reduced_mask", tallying)
     cases = [(1, 1), (1, 3), (7, 1), (7, 2), (2**5, 1), (2**5, 2), (720720, 1)]
