@@ -14,15 +14,16 @@ isqrt(N) and for the larger primes up to N // 8, which recur.  The
 Pillai column takes that multiplicative route rather than
 arith.pillai's divisor sum.  No command compares the two; only the
 tests do (``test_batch`` and the fault matrix in ``test_cli``), so the
-table prints the column unchecked.  ``BatchRow`` is a named tuple whose
-fields are the table's column order.
+table prints the column unchecked.  Both record types are named tuples:
+``SpfSieve`` pairs the limit with the spf array and adds
+``factorization``, and ``BatchRow``'s fields are the table's column
+order.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .arith import cohen_phi_rule, d_s_k_rule, pillai_rule
@@ -44,8 +45,7 @@ __all__ = ["SpfSieve", "BatchRow", "build_sieve", "batch_table"]
 _MAX_SIEVE_LIMIT = 50_000_000
 
 
-@dataclass
-class SpfSieve:
+class SpfSieve(NamedTuple):
     """spf[m] is the smallest prime factor of m, for 2 <= m <= limit."""
 
     limit: int

@@ -9,12 +9,13 @@ standard set and ``ResidueSet.validate`` both read the mask of reduced
 classes from ``arith.kth_reduced_mask``, never ``factorize`` or the
 closed ``cohen_phi``.  ``validate`` marks each member's class in that
 mask, so it holds about a byte a class and no set of the members.
+``ResidueSet`` is a plain immutable record with ``__slots__``: its fields
+are read-only, and it compares and hashes by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
@@ -28,13 +29,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ResidueSet:
-    """phi_k(m) representatives, k-th power coprime to m**k, ascending."""
+    """phi_k(m) representatives, k-th power coprime to m**k, ascending.
 
+    Immutable: setting or deleting a field raises AttributeError.  Two
+    sets are equal, and hash alike, when m, k and elements are.
+    """
+
+    __slots__ = ("m", "k", "elements")
     m: int
     k: int
     elements: tuple[int, ...]
+
+    def __init__(self, m: int, k: int, elements: tuple[int, ...]) -> None:
+        # The slots are filled past the read-only __setattr__ below.
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ResidueSet is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ResidueSet is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not through __setattr__.
+        return self.__class__, (self.m, self.k, self.elements)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.k, self.elements) == (other.m, other.k, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.k, self.elements))
+
+    def __repr__(self) -> str:
+        return f"ResidueSet(m={self.m!r}, k={self.k!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -519,6 +519,14 @@ def test_table_out_file(tmp_path, capsys):
             assert code == EXIT_OK
             assert invoke(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
             assert target.read_bytes() == out.encode()
+    # The file goes out in blocks of lines: 600 rows span several and end inside one.
+    assert 600 > 2 * cli._TABLE_BLOCK and 600 % cli._TABLE_BLOCK not in (0, cli._TABLE_BLOCK - 1)
+    for fmt in ("plain", "csv", "json-lines"):
+        argv = ("table", "--n", "600", "--s", "4", "--k", "1", "--format", fmt)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == EXIT_OK and out.count("\n") in (600, 601)
+        assert invoke(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 def test_table_renders_failed_rows(capsys, monkeypatch):

@@ -7,11 +7,12 @@ module-level name is read somewhere in its own module, every name in a
 module's ``__all__`` is bound at its top level, and no absolute import
 reaches past the standard library and ``menonk`` itself.  Every
 module also parses under the grammar of the oldest Python the package
-declares.
+declares, and importing the command line leaves ``dataclasses`` unloaded.
 """
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,3 +134,19 @@ def test_sources_parse_at_the_python_floor():
     version = (int(floor[1]), int(floor[2]))
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about half of
+    # the package's import.  -I -S keeps site's .pth files from loading
+    # modules first, so src goes on sys.path by hand; -B writes no .pyc
+    # into src, since -I ignores PYTHONDONTWRITEBYTECODE.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import menonk.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -30,6 +32,22 @@ def test_standard_sets_are_not_kept():
     assert standard_residue_set(12, 2) == standard_residue_set(12, 2)
     info = _standard_elements.cache_info()
     assert info.currsize == 0 and info.misses == 2
+
+
+def test_residue_set_is_a_read_only_value():
+    rs = ResidueSet(12, 1, (1, 5, 7, 11))
+    same = ResidueSet(m=12, k=1, elements=(1, 5, 7, 11))
+    assert hash(rs) == hash(same) and {rs: "x"}[same] == "x"
+    assert len({rs, same, standard_residue_set(12, 1)}) == 1
+    assert rs != ResidueSet(12, 2, rs.elements) and rs != (12, 1, rs.elements)
+    for name in ("m", "k", "elements", "other"):
+        with pytest.raises(AttributeError):
+            setattr(rs, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rs, name)
+    assert rs == same and len(rs) == 4
+    assert repr(rs) == "ResidueSet(m=12, k=1, elements=(1, 5, 7, 11))"
+    assert copy.copy(rs) == pickle.loads(pickle.dumps(rs)) == rs
 
 
 def test_standard_set_invariants():
