@@ -85,6 +85,9 @@ def _parse_k_set(text: str) -> list[int]:
         raise UsageError(f"--k expects integers like 1 or 1,2,3, got {text!r}") from None
     if any(k < 1 for k in ks):
         raise UsageError("--k values must be positive")
+    for i, k in enumerate(ks):
+        if k in ks[:i]:
+            raise UsageError(f"--k lists k = {k} more than once")
     return ks
 
 

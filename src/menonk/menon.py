@@ -8,11 +8,14 @@ The central quantity is
 which equals d_s_k(m, s, k) * phi_k(m) for every integer s and all
 positive integers m, k.  The one-shift functions here take the
 modulus, s and k as plain integers; the many-shift ones take m, k and
-an iterable of shifts.  ``menon_sums`` evaluates the sum literally for
-many shifts at once (``menon_sum_bruteforce`` is its one-shift case):
-it reads the reduced classes, each divisor's stride and its weight
-from ``kth_reduced_mask`` once, and then, for each shift, counts the
-reduced classes along each stride and weighs each count.
+the shifts: any iterable, or for ``menon_sums``, whose tables depend
+on how many there are, a sequence.  ``menon_sums`` evaluates the sum
+literally for many shifts at once (``menon_sum_bruteforce`` is its
+one-shift case): it reads the reduced classes, each divisor's stride
+and its weight from ``kth_reduced_mask`` once, counts each short
+stride's classes into a table by residue once, and then, for each
+shift, reads those tables, counts the reduced classes along each
+other stride and weighs each count.
 ``menon_closed_forms`` evaluates the product side for the same shifts
 from the factorization alone (``menon_closed_form`` is its one-shift
 case): it reads ``factorize(m)`` once and evaluates ``cohen_phi_rule``
@@ -35,7 +38,7 @@ import math
 from array import array
 from itertools import compress, starmap
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import arith
 from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, kth_reduced_mask
@@ -71,7 +74,7 @@ def menon_sum_over(elements: Iterable[int], m: int, s: int, k: int) -> int:
 
 
 def menon_sums(
-    m: int, k: int, shifts: Iterable[int], max_iterations: int | None = None
+    m: int, k: int, shifts: Sequence[int], max_iterations: int | None = None
 ) -> Iterator[int]:
     """M(m, s, k) for each s in ``shifts``, in order, by direct count.
 
@@ -85,17 +88,47 @@ def menon_sums(
     M(m, s, k) = sum over D of D**k * #{reduced a : (a - s, m**k)_k = D**k}
     is sum phi_k(d) * N[d] over m's divisors, since phi_k is the Moebius
     transform of the values d**k.  Divisor 1 has weight 1 and counts
-    every reduced class.  A shift then costs its strided counts, in C,
-    and one dot product.  The mask is refused, before anything is
-    allocated, by the class gate.
+    every reduced class.
+
+    N[d] depends on s only through s mod q, q = d**k.  So a stride with
+    q <= len(shifts) and q * q <= m**k is counted once, here, into a
+    table of q counts, one a residue r, read off mask[r :: q]: it reads
+    m**k bytes, no more than counting it a shift would, and holds no
+    more counts than one of its slices holds bytes.  The smallest
+    stride, strides[0] = p**k for m's least prime p, passes whenever
+    any stride does, and N[1], the reduced classes, is the sum of its
+    table; with no table, N[1] is the whole mask counted.  Each shift
+    then reads one count from each table and counts mask[s mod q :: q]
+    for each other stride, m**k / q bytes, in C, and takes one dot
+    product.  With T tables, the call reads T * m**k bytes and each
+    shift the sum of m**k / q over the other strides; with none, the
+    call reads the m**k bytes of N[1] and each shift
+    m**k * (sigma_{-k}(m) - 1).  The mask is refused, before anything
+    is allocated, by the class gate.
     """
     mask, strides, weights = kth_reduced_mask(m, k, max_iterations)
-    reduced = mask.count(1)
+    n, mk = len(shifts), len(mask)
+    # A stride q is tabled when q <= n and q * q <= m**k.  The smallest one comes
+    # first in the lattice's order, so if it is not tabled, none is.
+    if not strides or strides[0] > n or strides[0] ** 2 > mk:
+        reduced = mask.count(1)
 
-    def total(s: int) -> int:
-        return reduced + sum(map(mul, [mask[s % q :: q].count(1) for q in strides], weights))
+        def total(s: int) -> int:
+            return reduced + sum(map(mul, [mask[s % q :: q].count(1) for q in strides], weights))
 
-    return map(total, shifts)
+        return map(total, shifts)
+
+    pairs = [
+        (q, [mask[r::q].count(1) for r in range(q)] if q <= n and q * q <= mk else None)
+        for q in strides
+    ]
+    reduced = sum(pairs[0][1])
+
+    def total_tabled(s: int) -> int:
+        counts = [t[s % q] if t else mask[s % q :: q].count(1) for q, t in pairs]
+        return reduced + sum(map(mul, counts, weights))
+
+    return map(total_tabled, shifts)
 
 
 def menon_sum_bruteforce(m: int, s: int, k: int, max_iterations: int | None = None) -> int:

@@ -606,6 +606,11 @@ def test_usage_refusals(capsys, monkeypatch):
     assert code == EXIT_USAGE and "--m bounds must be integers" in err
     code, _, err = invoke(capsys, "residues", "--m", "0", "--k", "1")
     assert code == EXIT_USAGE and "--m and --k" in err
+    # A repeated power would count each grid point once per repeat.
+    for ks in ("2,2", "1,2,3,1"):
+        code, out, err = invoke(capsys, "verify", "--m", "1..3", "--s", "0..1", "--k", ks)
+        assert (code, out) == (EXIT_USAGE, ""), ks
+        assert err == f"error: --k lists k = {ks[0]} more than once\n", ks
 
 
 @pytest.mark.parametrize(

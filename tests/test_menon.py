@@ -316,24 +316,98 @@ class _TallyMask(bytearray):
         return item
 
 
-def test_menon_sums_read_sigma_minus_k_bytes_a_shift(monkeypatch):
-    # Each divisor d > 1 of m counts one stride of m**k / d**k bytes a shift:
-    # m**k * (sigma_{-k}(m) - 1) bytes in all, the literal route's whole work.
-    masks = []
+def _tallying(masks):
+    """kth_reduced_mask, but its mask tallies the slices read, and each mask is kept in ``masks``."""
 
     def tallying(m, k, max_iterations=None):
         mask, strides, weights = arith.kth_reduced_mask(m, k, max_iterations)
         masks.append(_TallyMask(mask))
         return masks[-1], strides, weights
 
-    monkeypatch.setattr(menon, "kth_reduced_mask", tallying)
-    cases = [(1, 1), (1, 3), (7, 1), (7, 2), (2**5, 1), (2**5, 2), (720720, 1)]
-    cases += [(m, k) for k in (1, 2, 3) for m in range(1, 25)]
-    for m, k in cases:
-        per_shift = m**k * (sum(Fraction(1, d**k) for d in sympy.divisors(m)) - 1)
-        shifts = [0, 1, -1, m**k, -(2**200)]
-        for n, _ in enumerate(menon_sums(m, k, shifts), 1):
-            assert masks[-1].read == n * per_shift, (m, k, n)
+    return tallying
+
+
+_TALLY_CASES = [(1, 1), (1, 3), (7, 1), (7, 2), (2**5, 1), (2**5, 2), (720720, 1)]
+_TALLY_CASES += [(m, k) for k in (1, 2, 3) for m in range(1, 25)]
+
+
+def test_menon_sum_bruteforce_reads_sigma_minus_k_bytes(monkeypatch):
+    # One shift tables no stride: each divisor d > 1 of m counts one stride of
+    # m**k / d**k bytes, m**k * (sigma_{-k}(m) - 1) bytes in all.
+    masks = []
+    monkeypatch.setattr(menon, "kth_reduced_mask", _tallying(masks))
+    for m, k in _TALLY_CASES:
+        expected = m**k * (sum(Fraction(1, d**k) for d in sympy.divisors(m)) - 1)
+        for s in (0, 1, -1, m**k, -(2**200)):
+            menon_sum_bruteforce(m, s, k)
+            assert masks[-1].read == expected, (m, s, k)
+
+
+@pytest.mark.parametrize("count", [5, 61])
+def test_menon_sums_read_each_table_once_and_the_other_strides_a_shift(monkeypatch, count):
+    # A stride q = d**k with q <= len(shifts) and q * q <= m**k is tabled at the call, q
+    # slices of m**k bytes in all; each shift then counts m**k / q bytes for each other
+    # stride.  Nothing more is read before a sum is drawn.
+    masks = []
+    monkeypatch.setattr(menon, "kth_reduced_mask", _tallying(masks))
+    for m, k in _TALLY_CASES:
+        mk = m**k
+        shifts = [0, 1, -1, mk, -(2**200)] + list(range(2, count - 3))
+        strides = [d**k for d in sympy.divisors(m)[1:]]
+        tabled = [q for q in strides if q <= count and q * q <= mk]
+        per_shift = sum(mk // q for q in strides if q not in tabled)
+        sums = menon_sums(m, k, shifts)
+        assert masks[-1].read == len(tabled) * mk, (m, k)
+        for n, _ in enumerate(sums, 1):
+            assert masks[-1].read == len(tabled) * mk + n * per_shift, (m, k, n)
+        # No more than counting every stride at every shift would read.
+        assert masks[-1].read <= count * sum(mk // q for q in strides), (m, k)
+
+
+def _strided_sums(m, k, shifts):
+    """M(m, s, k) for each shift, every stride counted again at every shift."""
+    mask, strides, weights = arith.kth_reduced_mask(m, k)
+    return [
+        mask.count(1) + sum(w * mask[s % q :: q].count(1) for q, w in zip(strides, weights))
+        for s in shifts
+    ]
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [(m, k) for m in (1, 7, 2**5, 12, 180) for k in (1, 2, 3)] + [(720720, 1)],
+)
+def test_menon_sums_agree_on_both_sides_of_the_table_rule(m, k):
+    # Shift lists one shorter than, as long as, and one longer than the smallest
+    # stride p**k: that stride is tabled from the second on, where q * q <= m**k
+    # lets it.  Each list repeats a shift, is unsorted and holds m**k, +-2**200
+    # and negatives.
+    rng = random.Random(m * 10 + k)
+    mk = m**k
+    q0 = min(sympy.primefactors(m), default=2) ** k
+    for count in (q0 - 1, q0, q0 + 1):
+        shifts = [mk, -(2**200), 2**200, -1, 0][: max(count - 1, 1)]
+        while len(shifts) < count - 1:
+            shifts.append(rng.randrange(-3 * mk - 5, 3 * mk + 5))
+        shifts = (shifts + shifts[:1])[:count]  # the first shift again, past one shift
+        rng.shuffle(shifts)
+        expected = _strided_sums(m, k, shifts)
+        assert list(menon_sums(m, k, shifts)) == expected, (m, k, count)
+        assert expected == list(menon_closed_forms(m, k, shifts)), (m, k, count)
+
+
+def test_menon_sums_hold_under_three_bytes_a_class():
+    # The mask is a byte a class.  The tables hold at most sqrt(m) counts each, and the
+    # other strides' slices, taken one at a time, under sqrt(m) bytes each.
+    m = 720720
+    tracemalloc.start()
+    try:
+        sums = list(menon_sums(m, 1, range(-5000, 5000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * m, peak / m
+    assert sums[::1000] == [menon_closed_form(m, s, 1) for s in range(-5000, 5000, 1000)]
 
 
 def test_params_validation():
