@@ -14,10 +14,9 @@ isqrt(N) and for the larger primes up to N // 8, which recur.  The
 Pillai column takes that multiplicative route rather than
 arith.pillai's divisor sum.  No command compares the two; only the
 tests do (``test_batch`` and the fault matrix in ``test_cli``), so the
-table prints the column unchecked.  Both record types are named tuples:
-``SpfSieve`` pairs the limit with the spf array and adds
-``factorization``, and ``BatchRow``'s fields are the table's column
-order.
+table prints the column unchecked.  ``SpfSieve`` is a named tuple that
+pairs the limit with the spf array and adds ``factorization``.  A row
+is a plain tuple whose cells are in ``COLUMNS`` order.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .limits import (
 )
 from .menon import menon_sum_bruteforce
 
-__all__ = ["SpfSieve", "BatchRow", "build_sieve", "batch_table"]
+__all__ = ["SpfSieve", "COLUMNS", "build_sieve", "batch_table"]
 
 # The 4-byte-per-entry table (200 MB here, plus a 100 MB stroke for d = 2
 # while it is built) becomes unreasonable at desk scale past this.
@@ -78,21 +77,9 @@ def build_sieve(limit: int) -> SpfSieve:
     return SpfSieve(limit, smallest_prime_factors(limit))
 
 
-class BatchRow(NamedTuple):
-    """One tabulated modulus: closed forms, plus brute-force check on request.
-
-    The fields, in order, are the table's columns.  menon_rhs is always
-    d_s_k * phi_k; menon_lhs and verified are None unless the table was
-    built with brute force enabled.
-    """
-
-    m: int
-    phi_k: int
-    d_s_k: int
-    pillai_k: int
-    menon_lhs: int | None
-    menon_rhs: int
-    verified: bool | None
+# The cells of a row, in order.  menon_rhs is always d_s_k * phi_k; menon_lhs and
+# verified are None unless the table was built with brute force enabled.
+COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_lhs", "menon_rhs", "verified")
 
 
 def batch_table(
@@ -101,13 +88,14 @@ def batch_table(
     k: int,
     with_bruteforce: bool = False,
     max_iterations: int | None = None,
-) -> Iterator[BatchRow]:
-    """Stream BatchRows for m = 1..n, each a product along the sieve's prime-power chain.
+) -> Iterator[tuple]:
+    """Stream rows for m = 1..n, each a product along the sieve's prime-power chain.
 
-    Arguments are validated (and the sieve built) up front; the rows
-    themselves are generated lazily in ascending m.  Since n**k < 2**128,
-    every p**v dividing a row has v*k < 128, so no rule refuses; only the
-    P_k product can leave the domain.
+    A row is a plain tuple in ``COLUMNS`` order.  Arguments are validated
+    (and the sieve built) up front; the rows themselves are generated
+    lazily in ascending m.  Since n**k < 2**128, every p**v dividing a
+    row has v*k < 128, so no rule refuses; only the P_k product can
+    leave the domain.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
@@ -141,7 +129,7 @@ def _rows(
     with_bruteforce: bool,
     max_iterations: int | None,
     q: array,
-) -> Iterator[BatchRow]:
+) -> Iterator[tuple]:
     """The rows, from the call's own spf array, which becomes the prime-power chain.
 
     The primes p <= isqrt(n) are read off spf first.  Then, primes
@@ -157,7 +145,6 @@ def _rows(
     """
     rules = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     phi_rule, dsk_rule, pil_rule = rules
-    new_row = tuple.__new__  # BatchRow's own __new__ is a Python-level call per row
     primes = [p for p in range(2, math.isqrt(n) + 1) if q[p] == p]
     local = {}
     for p in reversed(primes):
@@ -191,4 +178,4 @@ def _rows(
         if with_bruteforce:
             lhs = menon_sum_bruteforce(m, s, k, max_iterations)
             verified = lhs == rhs
-        yield new_row(BatchRow, (m, phi_k, dsk, pil, lhs, rhs, verified))
+        yield m, phi_k, dsk, pil, lhs, rhs, verified

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import arith, batch, menon
@@ -85,9 +86,11 @@ def _parse_k_set(text: str) -> list[int]:
         raise UsageError(f"--k expects integers like 1 or 1,2,3, got {text!r}") from None
     if any(k < 1 for k in ks):
         raise UsageError("--k values must be positive")
-    for i, k in enumerate(ks):
-        if k in ks[:i]:
+    seen = set()
+    for k in ks:
+        if k in seen:
             raise UsageError(f"--k lists k = {k} more than once")
+        seen.add(k)
     return ks
 
 
@@ -144,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _JSON_BOOLS = {True: "true", False: "false"}
 
 
-def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
+def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     """Yield the table's lines, each ending in a newline: csv and plain a header first.
 
     Every row is spelled by one ``%`` over a template picked once, from
@@ -152,9 +155,12 @@ def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
     ``menon_lhs`` and ``verified`` are None in every row).  A present cell
     is spelled as JSON spells it: ints in decimal, ``verified`` as
     true/false by lookup.  An absent cell is fixed text in the template:
-    "" in csv and "-" in plain; json-lines leaves its key out.
+    "" in csv and "-" in plain; json-lines leaves its key out.  With
+    brute force off, the lines after the header are one C-level ``map``
+    that picks the five present cells of a row and fills the template:
+    no unpack or format runs as Python code per row.
     """
-    columns = batch.BatchRow._fields
+    columns = batch.COLUMNS
     rows = iter(rows)
     if fmt != "json-lines":
         sep, absent = (",", "") if fmt == "csv" else (" ", "-")
@@ -168,9 +174,8 @@ def _render_rows(rows: Iterable[batch.BatchRow], fmt: str) -> Iterator[str]:
     else:
         template = sep.join(absent if v is None else "%s" for v in first) + "\n"
     rows = chain((first,), rows)
-    if first.verified is None:
-        for m, phi_k, d_s_k, pillai_k, _, rhs, _ in rows:
-            yield template % (m, phi_k, d_s_k, pillai_k, rhs)
+    if first[-1] is None:
+        yield from map(template.__mod__, map(itemgetter(0, 1, 2, 3, 5), rows))
     else:
         spell = _JSON_BOOLS
         for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rows:

@@ -184,17 +184,17 @@ def test_criterion_7_batch_consistency():
     """batch_table(300, 7, 1) fully verified; sieve path equals per-m path."""
     rows = list(batch_table(300, 7, 1, with_bruteforce=True))
     ok = len(rows) == 300
-    for row in rows:
-        ok &= row.verified is True
-        ok &= row.phi_k == cohen_phi(row.m, 1)
-        ok &= row.d_s_k == d_s(row.m, 7)
-        ok &= row.pillai_k == pillai(row.m, 1)
-        ok &= row.menon_rhs == row.d_s_k * row.phi_k
-        fac = factorize(row.m)
+    for m, phi_k, dsk, pillai_k, _, rhs, verified in rows:
+        ok &= verified is True
+        ok &= phi_k == cohen_phi(m, 1)
+        ok &= dsk == d_s(m, 7)
+        ok &= pillai_k == pillai(m, 1)
+        ok &= rhs == dsk * phi_k
+        fac = factorize(m)
         product = 1
         for p, v in fac:
             product *= p**v
-        ok &= product == row.m
+        ok &= product == m
     check("criterion 7: batch table N=300 fully verified, paths agree", ok)
 
 

@@ -55,14 +55,14 @@ def test_sieve_errors():
 
 def test_batch_rows_match_arith():
     rows = list(batch_table(60, -18, 2, with_bruteforce=True))
-    assert [r.m for r in rows] == list(range(1, 61))
-    for r in rows:
-        assert r.phi_k == cohen_phi(r.m, 2)
-        assert r.d_s_k == d_s_k(r.m, -18, 2)
-        assert r.pillai_k == pillai(r.m, 2)
-        assert r.menon_rhs == r.d_s_k * r.phi_k
-        assert r.menon_lhs == menon_sum_bruteforce(r.m, -18, 2)
-        assert r.verified is True
+    assert [r[0] for r in rows] == list(range(1, 61))
+    for m, phi_k, dsk, pillai_k, lhs, rhs, verified in rows:
+        assert phi_k == cohen_phi(m, 2)
+        assert dsk == d_s_k(m, -18, 2)
+        assert pillai_k == pillai(m, 2)
+        assert rhs == dsk * phi_k
+        assert lhs == menon_sum_bruteforce(m, -18, 2)
+        assert verified is True
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -73,9 +73,9 @@ def test_batch_columns_match_the_scalar_functions(k):
     pil = [pillai(m, k) for m in range(1, 5001)]
     for s in (0, 1, -18, 1296, 2**4 * 3**4 * 5):
         for r, phi_k, pillai_k in zip(batch_table(5000, s, k), phi, pil, strict=True):
-            dsk = d_s_k(r.m, s, k)
+            dsk = d_s_k(r[0], s, k)
             expected = (phi_k, dsk, pillai_k, dsk * phi_k)
-            assert (r.phi_k, r.d_s_k, r.pillai_k, r.menon_rhs) == expected, (r.m, s)
+            assert (r[1], r[2], r[3], r[5]) == expected, (r[0], s)
 
 
 def test_batch_rows_take_the_prime_power_chain(monkeypatch):
@@ -86,8 +86,8 @@ def test_batch_rows_take_the_prime_power_chain(monkeypatch):
     monkeypatch.setattr(arith, "eval_multiplicative", refuse)
     monkeypatch.setattr(batch, "eval_multiplicative", refuse, raising=False)
     rows = list(batch_table(3000, 1, 2))
-    assert [r.m for r in rows] == list(range(1, 3001))
-    assert rows[-1].phi_k == (2**6 - 2**4) * (3**2 - 1) * (5**6 - 5**4)  # 3000 = 2^3 * 3 * 5^3
+    assert [r[0] for r in rows] == list(range(1, 3001))
+    assert rows[-1][1] == (2**6 - 2**4) * (3**2 - 1) * (5**6 - 5**4)  # 3000 = 2^3 * 3 * 5^3
 
 
 def counting_rules(monkeypatch):
@@ -136,7 +136,7 @@ def test_batch_rule_calls_are_counted_exactly(monkeypatch, n, cached, recurring,
     assert (powers, primes, rows_above) == (cached, recurring, rare)
     calls = counting_rules(monkeypatch)
     rows = batch_table(n, -18, 2)
-    assert next(rows).m == 1 and len(calls) == 3 * cached  # the cache is filled first
+    assert next(rows)[0] == 1 and len(calls) == 3 * cached  # the cache is filled first
     assert sum(1 for _ in rows) == n - 1
     assert len(calls) == 3 * (cached + recurring + rare)
 
@@ -159,35 +159,37 @@ def test_batch_rows_peak_memory():
 def test_batch_overflow_after_streamed_rows():
     # P_16(216) is the first value past 2^128; the rows before it are whole.
     rows = batch_table(255, 1, 16)
-    assert [r.m for _, r in zip(range(215), rows)] == list(range(1, 216))
+    assert [r[0] for _, r in zip(range(215), rows)] == list(range(1, 216))
     with pytest.raises(Uint128OverflowError, match=r"^P_k = \d+ is outside"):
         next(rows)
 
 
 def test_batch_row_examples():
-    row12 = list(batch_table(12, 1, 1, with_bruteforce=True))[-1]
-    assert (row12.phi_k, row12.d_s_k, row12.menon_lhs, row12.menon_rhs) == (4, 6, 24, 24)
-    assert row12.verified is True
+    _, phi_k, dsk, _, lhs, rhs, verified = list(batch_table(12, 1, 1, with_bruteforce=True))[-1]
+    assert (phi_k, dsk, lhs, rhs) == (4, 6, 24, 24)
+    assert verified is True
 
     (row1,) = batch_table(1, 5, 3)
-    assert (row1.m, row1.phi_k, row1.d_s_k, row1.pillai_k, row1.menon_rhs) == (1, 1, 1, 1, 1)
-    assert row1.menon_lhs is None and row1.verified is None
+    assert type(row1) is tuple and len(row1) == len(batch.COLUMNS)
+    m, phi_k, dsk, pillai_k, lhs, rhs, verified = row1
+    assert (m, phi_k, dsk, pillai_k, rhs) == (1, 1, 1, 1, 1)
+    assert lhs is None and verified is None
 
-    row4 = list(batch_table(16, 1, 2, with_bruteforce=True))[3]
-    assert (row4.phi_k, row4.d_s_k, row4.menon_lhs, row4.menon_rhs) == (12, 3, 36, 36)
+    _, phi_k, dsk, _, lhs, rhs, _ = list(batch_table(16, 1, 2, with_bruteforce=True))[3]
+    assert (phi_k, dsk, lhs, rhs) == (12, 3, 36, 36)
 
 
 def test_batch_streams_in_order():
     gen = batch_table(50, 3, 1)
-    assert next(gen).m == 1
-    assert next(gen).m == 2
-    assert [r.m for r in gen] == list(range(3, 51))
+    assert next(gen)[0] == 1
+    assert next(gen)[0] == 2
+    assert [r[0] for r in gen] == list(range(3, 51))
 
 
 def test_batch_without_bruteforce_leaves_columns_unset():
-    for r in batch_table(30, 2, 1):
-        assert r.menon_lhs is None and r.verified is None
-        assert r.menon_rhs == r.d_s_k * r.phi_k
+    for _, phi_k, dsk, _, lhs, rhs, verified in batch_table(30, 2, 1):
+        assert lhs is None and verified is None
+        assert rhs == dsk * phi_k
 
 
 def test_batch_bruteforce_cap():

@@ -476,7 +476,7 @@ def test_table_json_lines(capsys):
     )
     assert code == EXIT_OK
     expected = [
-        {f: v for f, v in row._asdict().items() if v is not None}
+        {f: v for f, v in zip(_COLUMNS, row) if v is not None}
         for row in batch.batch_table(20, 65536, 16)
     ]
     records = [json.loads(line) for line in out.splitlines()]
@@ -522,11 +522,12 @@ def test_table_out_file(tmp_path, capsys):
     # The file goes out in blocks of lines: 600 rows span several and end inside one.
     assert 600 > 2 * cli._TABLE_BLOCK and 600 % cli._TABLE_BLOCK not in (0, cli._TABLE_BLOCK - 1)
     for fmt in ("plain", "csv", "json-lines"):
-        argv = ("table", "--n", "600", "--s", "4", "--k", "1", "--format", fmt)
-        code, out, _ = invoke(capsys, *argv)
-        assert code == EXIT_OK and out.count("\n") in (600, 601)
-        assert invoke(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
-        assert target.read_bytes() == out.encode()
+        for bruteforce in ("--with-bruteforce", "--no-bruteforce"):
+            argv = ("table", "--n", "600", "--s", "4", "--k", "1", "--format", fmt, bruteforce)
+            code, out, _ = invoke(capsys, *argv)
+            assert code == EXIT_OK and out.count("\n") in (600, 601)
+            assert invoke(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+            assert target.read_bytes() == out.encode()
 
 
 def test_table_renders_failed_rows(capsys, monkeypatch):
@@ -574,10 +575,10 @@ def test_table_spellings_match_a_json_reference(capsys, fmt):
     code, out, _ = invoke(capsys, *argv, "--with-bruteforce")
     assert (code, out) == (EXIT_LIMIT, "")
     rows = [
-        r._replace(menon_lhs=r.menon_rhs + r.m % 2, verified=r.m % 2 == 0)
-        for r in batch.batch_table(20, 65536, 16)
+        (m, phi_k, dsk, pillai_k, rhs + m % 2, rhs, m % 2 == 0)
+        for m, phi_k, dsk, pillai_k, _, rhs, _ in batch.batch_table(20, 65536, 16)
     ]
-    assert max(r.menon_lhs for r in rows) > 2**64
+    assert max(r[4] for r in rows) > 2**64
     assert "".join(cli._render_rows(rows, fmt)) == reference_table(rows, fmt)
 
     # No rows: csv and plain still give their header, json-lines nothing.
@@ -611,6 +612,16 @@ def test_usage_refusals(capsys, monkeypatch):
         code, out, err = invoke(capsys, "verify", "--m", "1..3", "--s", "0..1", "--k", ks)
         assert (code, out) == (EXIT_USAGE, ""), ks
         assert err == f"error: --k lists k = {ks[0]} more than once\n", ks
+
+
+def test_k_set_repeats_are_found_in_linear_time():
+    # Checking each power against all those before it would take seconds here.
+    text = ",".join(map(str, range(1, 40_001)))
+    start = time.perf_counter()
+    assert cli._parse_k_set(text) == list(range(1, 40_001))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(cli.UsageError, match=r"^--k lists k = 1 more than once$"):
+        cli._parse_k_set(text + ",1")
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from menonk.arith import (
     pillai,
     pillai_bruteforce,
 )
-from menonk.batch import BatchRow, batch_table
+from menonk.batch import batch_table
 from menonk.limits import U128_MAX, ResourceLimitError, Uint128OverflowError
 from menonk.menon import (
     menon_closed_form,
@@ -506,7 +506,7 @@ def _literal_edge_calls(m, s, k):
     )
 
 
-_M1_ANSWERS = ((1,), None, 1, 1, 1, [BatchRow(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
+_M1_ANSWERS = ((1,), None, 1, 1, 1, [(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
 
 
 @pytest.mark.parametrize(
