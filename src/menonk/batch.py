@@ -16,7 +16,9 @@ arith.pillai's divisor sum.  No command compares the two; only the
 tests do (``test_batch`` and the fault matrix in ``test_cli``), so the
 table prints the column unchecked.  ``SpfSieve`` is a named tuple that
 pairs the limit with the spf array and adds ``factorization``.  A row
-is a plain tuple whose cells are in ``COLUMNS`` order.
+is a plain tuple: with brute force on, its seven cells are in ``COLUMNS``
+order; with it off, it holds only the five closed-form cells, in
+``CLOSED_COLUMNS`` order, and no placeholder for the two it lacks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .limits import (
 )
 from .menon import menon_sum_bruteforce
 
-__all__ = ["SpfSieve", "COLUMNS", "build_sieve", "batch_table"]
+__all__ = ["SpfSieve", "COLUMNS", "CLOSED_COLUMNS", "build_sieve", "batch_table"]
 
 # The 4-byte-per-entry table (200 MB here, plus a 100 MB stroke for d = 2
 # while it is built) becomes unreasonable at desk scale past this.
@@ -77,9 +79,11 @@ def build_sieve(limit: int) -> SpfSieve:
     return SpfSieve(limit, smallest_prime_factors(limit))
 
 
-# The cells of a row, in order.  menon_rhs is always d_s_k * phi_k; menon_lhs and
-# verified are None unless the table was built with brute force enabled.
+# The cells of a row with brute force on, in order; also every table's header.
+# menon_rhs is always d_s_k * phi_k, and verified is menon_lhs == menon_rhs.
 COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_lhs", "menon_rhs", "verified")
+# The cells of a row with brute force off, in order: COLUMNS less the literal sum and its verdict.
+CLOSED_COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_rhs")
 
 
 def batch_table(
@@ -91,11 +95,12 @@ def batch_table(
 ) -> Iterator[tuple]:
     """Stream rows for m = 1..n, each a product along the sieve's prime-power chain.
 
-    A row is a plain tuple in ``COLUMNS`` order.  Arguments are validated
-    (and the sieve built) up front; the rows themselves are generated
-    lazily in ascending m.  Since n**k < 2**128, every p**v dividing a
-    row has v*k < 128, so no rule refuses; only the P_k product can
-    leave the domain.
+    A row is a plain tuple: seven cells in ``COLUMNS`` order with brute
+    force on, five in ``CLOSED_COLUMNS`` order with it off.  Arguments
+    are validated (and the sieve built) up front; the rows themselves
+    are generated lazily in ascending m.  Since n**k < 2**128, every
+    p**v dividing a row has v*k < 128, so no rule refuses; only the P_k
+    product can leave the domain.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
@@ -164,18 +169,18 @@ def _rows(
                 at = phi_rule(f, 1), dsk_rule(f, 1), pil_rule(f, 1)
                 if f <= recurring:
                     local[f] = at
-            phi_k *= at[0]
-            dsk *= at[1]
-            pil *= at[2]
+            phi_f, dsk_f, pil_f = at
+            phi_k *= phi_f
+            dsk *= dsk_f
+            pil *= pil_f
             rest //= f
         # phi_k <= m**k < 2**128, since batch_table refused n**k >= 2**128, and
         # d_s_k * phi_k < P_k at every prime power: only P_k can leave the domain.
         if pil > U128_MAX:
             ensure_u128(pil, pil_rule.__name__)
         rhs = dsk * phi_k
-        lhs = None
-        verified = None
         if with_bruteforce:
             lhs = menon_sum_bruteforce(m, s, k, max_iterations)
-            verified = lhs == rhs
-        yield m, phi_k, dsk, pil, lhs, rhs, verified
+            yield m, phi_k, dsk, pil, lhs, rhs, lhs == rhs
+        else:
+            yield m, phi_k, dsk, pil, rhs

@@ -1,9 +1,10 @@
 """Command-line front door: single values, grid verification, tables, residues.
 
-Exit codes: 0 success (and, for verify, zero failures); 1 usage error;
-2 overflow or iteration/memory cap; 3 verification failure; 141 (128 +
-SIGPIPE) when the reader closes stdout early, with nothing on stderr.
-Only ``main`` maps that last one; ``run`` lets BrokenPipeError through.
+Exit codes: 0 success (and, for verify and a brute-force table, zero
+failures); 1 usage error; 2 overflow or iteration/memory cap; 3
+verification failure; 141 (128 + SIGPIPE) when the reader closes
+stdout early, with nothing on stderr.  Only ``main`` maps that last
+one; ``run`` lets BrokenPipeError through.
 Output is byte-deterministic for fixed inputs and format.
 """
 
@@ -15,7 +16,6 @@ import os
 import re
 import sys
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import arith, batch, menon
@@ -151,14 +151,14 @@ def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     """Yield the table's lines, each ending in a newline: csv and plain a header first.
 
     Every row is spelled by one ``%`` over a template picked once, from
-    the first row, for the format and for brute force on or off (then
-    ``menon_lhs`` and ``verified`` are None in every row).  A present cell
-    is spelled as JSON spells it: ints in decimal, ``verified`` as
-    true/false by lookup.  An absent cell is fixed text in the template:
-    "" in csv and "-" in plain; json-lines leaves its key out.  With
-    brute force off, the lines after the header are one C-level ``map``
-    that picks the five present cells of a row and fills the template:
-    no unpack or format runs as Python code per row.
+    the length of the first row: seven cells with brute force on, the
+    five of ``batch.CLOSED_COLUMNS`` with it off.  A present cell is
+    spelled as JSON spells it: ints in decimal, ``verified`` as
+    true/false by lookup.  A cell the rows lack is fixed text in the
+    template: "" in csv and "-" in plain; json-lines leaves its key out.
+    With brute force off, the lines after the header are one C-level
+    ``map`` that fills the template with each row as it comes: no
+    unpack or format runs as Python code per row.
     """
     columns = batch.COLUMNS
     rows = iter(rows)
@@ -168,30 +168,45 @@ def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     first = next(rows, None)
     if first is None:
         return
+    present = columns if len(first) == len(columns) else batch.CLOSED_COLUMNS
     if fmt == "json-lines":
-        cells = [f'"{c}":%s' for c, v in zip(columns, first) if v is not None]
-        template = "{" + ",".join(cells) + "}\n"
+        template = "{" + ",".join(f'"{c}":%s' for c in present) + "}\n"
     else:
-        template = sep.join(absent if v is None else "%s" for v in first) + "\n"
+        template = sep.join("%s" if c in present else absent for c in columns) + "\n"
     rows = chain((first,), rows)
-    if first[-1] is None:
-        yield from map(template.__mod__, map(itemgetter(0, 1, 2, 3, 5), rows))
+    if present is batch.CLOSED_COLUMNS:
+        yield from map(template.__mod__, rows)
     else:
         spell = _JSON_BOOLS
         for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rows:
             yield template % (m, phi_k, d_s_k, pillai_k, lhs, rhs, spell[verified])
 
 
-def cmd_table(args: argparse.Namespace) -> None:
-    """Tabulate all functions for m = 1..N (sieve-backed, streamed)."""
+def _note_failures(rows: Iterable[tuple], failed: list[int]) -> Iterator[tuple]:
+    """Pass brute-force rows through as they stream, appending to ``failed`` each m whose row failed."""
+    for row in rows:
+        if row[-1] is False:
+            failed.append(row[0])
+        yield row
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    """Tabulate all functions for m = 1..N (sieve-backed, streamed).
+
+    With brute force on, the exit is 3 if any row reads verified=false,
+    once every row is written.
+    """
     if args.n < 1 or args.k < 1:
         raise UsageError("--n and --k must be positive integers")
     rows = batch.batch_table(args.n, args.s, args.k, args.with_bruteforce, args.max_iterations)
+    failed: list[int] = []
+    if args.with_bruteforce:
+        rows = _note_failures(rows, failed)
     lines = _render_rows(rows, args.fmt)
     if args.out is None:
         # A line at a time: the rows before a refused one are out before the exit 2.
         sys.stdout.writelines(lines)
-        return
+        return EXIT_VERIFY_FAILED if failed else EXIT_OK
     # A refused row must not leave a shorter table that looks whole, nor
     # clobber an existing file: write beside it and move it into place.
     tmp = f"{args.out}.{os.getpid()}.tmp"
@@ -205,6 +220,7 @@ def cmd_table(args: argparse.Namespace) -> None:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def cmd_residues(args: argparse.Namespace) -> None:

@@ -208,6 +208,11 @@ def test_criterion_8_cli_golden_files(capsys):
             ["table", "--n", "12", "--s", "1", "--k", "1", "--format", "json-lines", "--no-bruteforce"],
             "table_n12_jsonl_no_bruteforce.txt",
         ),
+        # The bench's csv shape, up to the prime powers 16, 25 and 27.
+        (
+            ["table", "--n", "27", "--s", "1", "--k", "1", "--format", "csv", "--no-bruteforce"],
+            "table_n27_csv_no_bruteforce.txt",
+        ),
         (["table", "--n", "12", "--s", "1", "--k", "2", "--format", "plain"], "table_n12_k2_plain.txt"),
         (["compute", "cohen-phi", "--m", "4", "--k", "2"], "compute_cohen_phi.txt"),
         (["compute", "d-s", "--m", "12", "--s", "3"], "compute_d_s.txt"),

@@ -75,7 +75,7 @@ def test_batch_columns_match_the_scalar_functions(k):
         for r, phi_k, pillai_k in zip(batch_table(5000, s, k), phi, pil, strict=True):
             dsk = d_s_k(r[0], s, k)
             expected = (phi_k, dsk, pillai_k, dsk * phi_k)
-            assert (r[1], r[2], r[3], r[5]) == expected, (r[0], s)
+            assert r[1:] == expected, (r[0], s)
 
 
 def test_batch_rows_take_the_prime_power_chain(monkeypatch):
@@ -164,16 +164,26 @@ def test_batch_overflow_after_streamed_rows():
         next(rows)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [16, 27, 125])
+def test_batch_last_row_at_a_prime_power(n, k):
+    # The chain's strokes run up to p^v = n itself, so a table ending at a prime power
+    # ends in a row of that power's own rule values.
+    *_, last = batch_table(n, 1, k)
+    phi_k, dsk = cohen_phi(n, k), d_s_k(n, 1, k)
+    assert last == (n, phi_k, dsk, pillai(n, k), dsk * phi_k)
+
+
 def test_batch_row_examples():
     _, phi_k, dsk, _, lhs, rhs, verified = list(batch_table(12, 1, 1, with_bruteforce=True))[-1]
     assert (phi_k, dsk, lhs, rhs) == (4, 6, 24, 24)
     assert verified is True
 
+    # Without brute force a row holds its five closed-form cells, no menon_lhs or verified.
     (row1,) = batch_table(1, 5, 3)
-    assert type(row1) is tuple and len(row1) == len(batch.COLUMNS)
-    m, phi_k, dsk, pillai_k, lhs, rhs, verified = row1
+    assert type(row1) is tuple and len(row1) == len(batch.CLOSED_COLUMNS)
+    m, phi_k, dsk, pillai_k, rhs = row1
     assert (m, phi_k, dsk, pillai_k, rhs) == (1, 1, 1, 1, 1)
-    assert lhs is None and verified is None
 
     _, phi_k, dsk, _, lhs, rhs, _ = list(batch_table(16, 1, 2, with_bruteforce=True))[3]
     assert (phi_k, dsk, lhs, rhs) == (12, 3, 36, 36)
@@ -187,8 +197,8 @@ def test_batch_streams_in_order():
 
 
 def test_batch_without_bruteforce_leaves_columns_unset():
-    for _, phi_k, dsk, _, lhs, rhs, verified in batch_table(30, 2, 1):
-        assert lhs is None and verified is None
+    # The rows hold no menon_lhs or verified cell at all: five cells, in CLOSED_COLUMNS order.
+    for _, phi_k, dsk, _, rhs in batch_table(30, 2, 1):
         assert rhs == dsk * phi_k
 
 
@@ -199,6 +209,10 @@ def test_batch_bruteforce_cap():
     with pytest.raises(ResourceLimitError):
         batch_table(200, 1, 1, with_bruteforce=True, max_iterations=10_000)
     assert len(list(batch_table(140, 1, 1, with_bruteforce=True, max_iterations=10_000))) == 140
+    # The boundary: 1 + 2 + 3 + 4 = 10 iterations fit a cap of 10, and not one of 9.
+    assert len(list(batch_table(4, 1, 1, with_bruteforce=True, max_iterations=10))) == 4
+    with pytest.raises(ResourceLimitError, match=r"needs more iterations than the cap of 9$"):
+        batch_table(4, 1, 1, with_bruteforce=True, max_iterations=9)
     with pytest.raises(ResourceLimitError):  # 40^2 and 1 + ... + 40 fit; the 22140 terms do not
         batch_table(40, 1, 2, with_bruteforce=True, max_iterations=20_000)
     # the last row's table of 2^26 classes is over MAX_TABLE_CLASSES, whatever the cap

@@ -476,8 +476,7 @@ def test_table_json_lines(capsys):
     )
     assert code == EXIT_OK
     expected = [
-        {f: v for f, v in zip(_COLUMNS, row) if v is not None}
-        for row in batch.batch_table(20, 65536, 16)
+        dict(zip(_CLOSED_COLUMNS, row, strict=True)) for row in batch.batch_table(20, 65536, 16)
     ]
     records = [json.loads(line) for line in out.splitlines()]
     assert records == expected
@@ -530,24 +529,36 @@ def test_table_out_file(tmp_path, capsys):
             assert target.read_bytes() == out.encode()
 
 
-def test_table_renders_failed_rows(capsys, monkeypatch):
-    # A literal sum of 0 must print as 0 and fail its row, not read as absent.
+def test_table_renders_failed_rows(capsys, monkeypatch, tmp_path):
+    # A literal sum of 0 must print as 0 and fail its row, not read as absent;
+    # every row is still written, then the run exits 3.
     monkeypatch.setattr(batch, "menon_sum_bruteforce", lambda m, s, k, cap: 0)
     argv = ("table", "--n", "2", "--s", "1", "--k", "1", "--format")
     code, out, _ = invoke(capsys, *argv, "csv")
-    assert code == EXIT_OK and out.splitlines()[2] == "2,1,2,3,0,2,false"
+    assert code == EXIT_VERIFY_FAILED and out.splitlines()[2] == "2,1,2,3,0,2,false"
     code, out, _ = invoke(capsys, *argv, "plain")
-    assert code == EXIT_OK and out.splitlines()[2] == "2 1 2 3 0 2 false"
+    assert code == EXIT_VERIFY_FAILED and out.splitlines()[2] == "2 1 2 3 0 2 false"
     code, out, _ = invoke(capsys, *argv, "json-lines")
     record = json.loads(out.splitlines()[1])
-    assert code == EXIT_OK and record["menon_lhs"] == 0 and record["verified"] is False
+    assert code == EXIT_VERIFY_FAILED and record["menon_lhs"] == 0 and record["verified"] is False
+    # --out moves the whole table into place, the failed rows included, before the exit 3.
+    target = tmp_path / "table.csv"
+    assert invoke(capsys, *argv, "csv", "--out", str(target)) == (EXIT_VERIFY_FAILED, "", "")
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == ["1,1,1,1,0,1,false", "2,1,2,3,0,2,false"]
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    # Brute force off has no verdict to fail: exit 0.
+    assert invoke(capsys, *argv, "csv", "--no-bruteforce")[0] == EXIT_OK
 
 
 _COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_lhs", "menon_rhs", "verified")
+_CLOSED_COLUMNS = ("m", "phi_k", "d_s_k", "pillai_k", "menon_rhs")  # a row with brute force off
 
 
 def reference_table(rows, fmt):
-    # Spelled from the rows alone, cell by cell, the way the stdlib JSON encoder spells them.
+    # Spelled from the rows alone, cell by cell, the way the stdlib JSON encoder spells them;
+    # a five-cell row (brute force off) has no menon_lhs or verified.
+    rows = [r if len(r) == len(_COLUMNS) else (*r[:4], None, r[4], None) for r in rows]
     if fmt == "json-lines":
         return "".join(
             json.dumps({c: v for c, v in zip(_COLUMNS, r) if v is not None}, separators=(",", ":"))
@@ -576,7 +587,7 @@ def test_table_spellings_match_a_json_reference(capsys, fmt):
     assert (code, out) == (EXIT_LIMIT, "")
     rows = [
         (m, phi_k, dsk, pillai_k, rhs + m % 2, rhs, m % 2 == 0)
-        for m, phi_k, dsk, pillai_k, _, rhs, _ in batch.batch_table(20, 65536, 16)
+        for m, phi_k, dsk, pillai_k, rhs in batch.batch_table(20, 65536, 16)
     ]
     assert max(r[4] for r in rows) > 2**64
     assert "".join(cli._render_rows(rows, fmt)) == reference_table(rows, fmt)
