@@ -33,7 +33,7 @@ from .limits import (
     U128_MAX,
     ResourceLimitError,
     check_classes,
-    checked_pow,
+    check_power,
     ensure_u128,
     resolve_max_iterations,
 )
@@ -102,9 +102,7 @@ def batch_table(
     p**v dividing a row has v*k < 128, so no rule refuses; only the P_k
     product can leave the domain.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
-    checked_pow(n, k, "n^k")
+    check_power(n, k)
     if with_bruteforce:
         _check_bruteforce_budget(n, k, max_iterations)
     return _rows(n, s, k, with_bruteforce, max_iterations, build_sieve(max(n, 2)).spf)

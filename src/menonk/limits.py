@@ -8,8 +8,9 @@ number callers can no longer treat as a machine word.
 
 The domain of a modulus m and exponent k (m, k >= 1 and m**k < 2^128)
 is checked in one place, ``check_power``: the class gate below,
-``arith.cohen_phi``, ``arith.pillai`` and ``menon.menon_closed_forms``
-all call it, so they refuse the same pairs with the same words.
+``arith.cohen_phi``, ``arith.pillai``, ``menon.menon_closed_forms``,
+``menon.verify_prime_power`` and ``batch.batch_table`` all call it, so
+they refuse the same pairs with the same words.
 
 Every literal pass over the classes mod m**k (residue enumeration,
 direct gcd sums, and the checks of a set the caller holds, which are
@@ -74,16 +75,6 @@ def ensure_u128(value: int, what: str = "value") -> int:
     return value
 
 
-def checked_pow(base: int, exp: int, what: str = "power") -> int:
-    """base**exp, raising Uint128OverflowError rather than leaving the domain."""
-    if base < 0 or exp < 0:
-        raise ValueError("checked_pow requires nonnegative base and exponent")
-    value = bounded_pow(base, exp, U128_MAX)
-    if value is None:
-        raise Uint128OverflowError(f"{what} = {_show(base)}^{_show(exp)} is outside [0, 2^128)")
-    return value
-
-
 def bounded_pow(base: int, exp: int, bound: int) -> int | None:
     """base**exp if it is at most ``bound``, else None (base, exp, bound >= 0).
 
@@ -111,10 +102,16 @@ def check_power(m: int, k: int) -> int:
 
     The one domain rule for a modulus m and exponent k: raises
     ValueError for m or k below 1, then Uint128OverflowError past 2^128.
+    Its six callers are ``check_classes``, ``arith.cohen_phi``,
+    ``arith.pillai``, ``menon.menon_closed_forms``,
+    ``menon.verify_prime_power`` and ``batch.batch_table``.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
-    return checked_pow(m, k, "m^k")
+    mk = bounded_pow(m, k, U128_MAX)
+    if mk is None:
+        raise Uint128OverflowError(f"m^k = {_show(m)}^{_show(k)} is outside [0, 2^128)")
+    return mk
 
 
 def check_classes(m: int, k: int, max_iterations: int | None, what: str) -> int:

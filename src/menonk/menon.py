@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from . import arith
 from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, kth_reduced_mask
 from .factor import is_prime
-from .limits import U128_MAX, check_power, checked_pow, ensure_u128
+from .limits import U128_MAX, check_power, ensure_u128
 
 __all__ = [
     "menon_sum_over",
@@ -203,7 +203,5 @@ def verify_prime_power(p: int, v: int, s: int, k: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if v < 1:
-        raise ValueError("v must be a positive integer")
-    q = checked_pow(p, v, "p^v")
+    q = check_power(p, v)
     return menon_sum_bruteforce(q, s, k) == menon_closed_form(q, s, k)

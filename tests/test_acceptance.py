@@ -217,6 +217,7 @@ def test_criterion_8_cli_golden_files(capsys):
         (["compute", "cohen-phi", "--m", "4", "--k", "2"], "compute_cohen_phi.txt"),
         (["compute", "d-s", "--m", "12", "--s", "3"], "compute_d_s.txt"),
         (["compute", "menon-lhs", "--m", "12", "--s", "2", "--k", "1"], "compute_menon_lhs.txt"),
+        (["residues", "--m", "12", "--k", "2"], "residues_m12_k2.txt"),
     ]
     ok = True
     for argv, golden_name in cases:

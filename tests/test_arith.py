@@ -33,7 +33,7 @@ from menonk.limits import (
     ResourceLimitError,
     Uint128OverflowError,
     bounded_pow,
-    checked_pow,
+    check_power,
     ensure_u128,
 )
 from menonk.menon import menon_sums, verify_menon_multiplicativity
@@ -192,6 +192,8 @@ def test_cohen_phi_overflow_and_cap():
     with pytest.raises(ResourceLimitError):
         cohen_phi_bruteforce(10, 1, max_iterations=5)
     assert cohen_phi_bruteforce(10, 1, max_iterations=10) == 4
+    # the smallest cap there is still admits the one class mod 1
+    assert cohen_phi_bruteforce(1, 1, max_iterations=1) == 1
     # 2^26 classes are over MAX_TABLE_CLASSES, whatever the cap
     with pytest.raises(ResourceLimitError, match="over the bound"):
         cohen_phi_bruteforce(2**13, 2, max_iterations=10**40)
@@ -238,20 +240,20 @@ def test_d_s_k_examples():
 def test_bounded_pow_edges():
     assert bounded_pow(2, 10, 1024) == 1024
     assert bounded_pow(2, 11, 1024) is None
-    assert bounded_pow(2, 127, U128_MAX) == checked_pow(2, 127) == 2**127
+    assert bounded_pow(2, 127, U128_MAX) == check_power(2, 127) == 2**127
     assert bounded_pow(2, 128, U128_MAX) is None
-    assert bounded_pow(3, 80, U128_MAX) == checked_pow(3, 80) == 3**80
+    assert bounded_pow(3, 80, U128_MAX) == check_power(3, 80) == 3**80
     assert bounded_pow(3, 81, U128_MAX) is None  # passes the bit-length screen
     assert bounded_pow(3, 10**18, 10) is None
     assert bounded_pow(1, 10**18, 1) == 1
     assert bounded_pow(0, 5, 0) == 0
     with pytest.raises(Uint128OverflowError):
-        checked_pow(3, 81)
+        check_power(3, 81)
     # past 4300 digits str(int) refuses; the overflow is still reported as one
     for huge in (
         lambda: eval_multiplicative(pillai_rule(10**4), factorize(3)),
         lambda: ensure_u128(10**3000 * 10**3000),
-        lambda: checked_pow(10**5000, 2),
+        lambda: check_power(10**5000, 2),
     ):
         with pytest.raises(Uint128OverflowError):
             huge()
@@ -302,7 +304,7 @@ def test_closed_form_domain_errors():
         pytest.param(lambda: cohen_phi_rule(0), id="cohen_phi_rule_k0"),
         pytest.param(lambda: d_s_k_rule(1, 0), id="d_s_k_rule_k0"),
         pytest.param(lambda: pillai_rule(0), id="pillai_rule_k0"),
-        pytest.param(lambda: checked_pow(-2, 3), id="checked_pow_negative_base"),
+        pytest.param(lambda: check_power(-2, 3), id="check_power_negative_base"),
         pytest.param(lambda: cohen_phi_bruteforce(4, 1, max_iterations=0), id="bruteforce_cap0"),
         pytest.param(lambda: verify_menon_multiplicativity(0, 1, 0, 1), id="multiplicativity_m0"),
     ],

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -222,8 +223,22 @@ def test_batch_bruteforce_cap():
     assert len(list(batch_table(100, 1, 1, max_iterations=50))) == 100
 
 
-def test_batch_domain_errors():
+def test_batch_domain_errors(monkeypatch):
     with pytest.raises(ValueError):
         list(batch_table(0, 1, 1))
     with pytest.raises(ValueError):
         list(batch_table(10, 1, 0))
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    # n^k = 2^128 is refused by the (m, k) rule itself, before any sieve is built.
+    monkeypatch.setattr(batch, "build_sieve", no_sieve)
+    start = time.perf_counter()
+    with pytest.raises(Uint128OverflowError, match=r"^m\^k = "):
+        batch_table(2**64, 1, 2)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    # (2^64 - 1)^2 fits the domain, so the sieve's own bound refuses it.
+    with pytest.raises(ResourceLimitError, match="sieve limit"):
+        batch_table(2**64 - 1, 1, 2)

@@ -128,6 +128,20 @@ def test_compute_limit_errors(capsys):
     assert code == EXIT_LIMIT and "cap" in err
 
 
+def test_cap_boundaries(capsys, monkeypatch):
+    # A cap of exactly 1 admits the one class mod 1.
+    code, out, _ = invoke(
+        capsys, "--max-iterations", "1", "compute", "menon-lhs", "--m", "1", "--s", "0", "--k", "1"
+    )
+    assert (code, out) == (EXIT_OK, "1\n")
+    # The default cap is 10^7 classes: m = 10^7 at k = 1 is summed, one more is refused.
+    monkeypatch.delenv("MENONK_MAX_ITERATIONS", raising=False)
+    code, out, _ = invoke(capsys, "compute", "menon-lhs", "--m", "10000000", "--s", "0", "--k", "1")
+    assert (code, out) == (EXIT_OK, "4000000\n")
+    code, out, err = invoke(capsys, "compute", "menon-lhs", "--m", "10000001", "--s", "0", "--k", "1")
+    assert (code, out) == (EXIT_LIMIT, "") and "over the cap of 10000000" in err
+
+
 def test_compute_refuses_a_semiprime_rho_cannot_split(capsys, monkeypatch):
     monkeypatch.setattr(factor, "_ECM_BUDGET", 1 << 16)
     hard = (2**61 - 1) * (2**64 - 59)

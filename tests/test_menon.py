@@ -179,9 +179,12 @@ def test_prime_power_cases():
     assert verify_prime_power(2, 2, 1, 2)  # p^k does not divide s
     assert verify_prime_power(2, 2, 12, 2)  # p^k divides s
     assert verify_prime_power(3, 2, 9, 1)  # p | s with k = 1
+    # v = 1, the paper's base case, on both local branches
+    assert verify_prime_power(3, 1, 9, 2)  # 3^2 | 9: local factor 1
+    assert verify_prime_power(3, 1, 1, 2)  # 3^2 does not divide 1: local factor 2
     with pytest.raises(ValueError):
         verify_prime_power(6, 2, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m and k must be positive integers$"):
         verify_prime_power(5, 0, 1, 1)
     start = time.perf_counter()
     with pytest.raises(Uint128OverflowError):
