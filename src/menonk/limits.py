@@ -102,9 +102,6 @@ def check_power(m: int, k: int) -> int:
 
     The one domain rule for a modulus m and exponent k: raises
     ValueError for m or k below 1, then Uint128OverflowError past 2^128.
-    Its six callers are ``check_classes``, ``arith.cohen_phi``,
-    ``arith.pillai``, ``menon.menon_closed_forms``,
-    ``menon.verify_prime_power`` and ``batch.batch_table``.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")

@@ -13,7 +13,10 @@ found from their syntax trees (standard-library ``ast``, with
 Each mutant edits one file in a private copy of the tree (one copy per
 worker, restored after each run) and runs ``python -m pytest -x -q``
 there under a wall bound and an address-space bound.  A mutant that
-fails a test is killed; one that passes every test survives.
+fails a test is killed; one that passes every test survives.  The
+unmutated tree is run first, in one of those copies: if it fails, no
+mutant is run and the ledger is left as it is, since every mutant would
+then read as killed.
 
 The ledger (``tools/mutants.json``) keeps a summary of the last run and
 one entry per mutant that has ever survived, keyed by file, source line,
@@ -24,16 +27,14 @@ pins>``.  When a test kills a listed mutant, its verdict becomes that
 test's name; when its line is deleted, its status becomes ``gone`` and
 its verdict stays.
 
-Run from the root of a checkout (about 15 minutes on 2 cores):
+It mutates the checkout that holds it and writes the ledger next to
+itself (about 10 minutes on 2 cores):
 
-    python tools/mutants.py                    # every module, writes tools/mutants.json
-    python tools/mutants.py --survivors        # only the mutants the ledger lists (a minute)
-    python tools/mutants.py --root ../other-checkout --ledger out.json
+    python tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import json
@@ -41,7 +42,6 @@ import os
 import platform
 import queue
 import re
-import resource
 import shutil
 import signal
 import statistics
@@ -53,11 +53,18 @@ import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "tools" / "mutants.json"
 MODULES = ("arith", "menon", "batch", "residues", "limits")
 WALL_SECONDS = 90
 WORKERS = 2
 ADDRESS_SPACE = 1 << 30  # tier-1 peaks near 150 MB; a mutant that grows past this fails
-PYTEST = [sys.executable, "-m", "pytest", "-x", "-q"]
+# The child bounds its own address space: a preexec_fn is not safe under the worker threads.
+PYTEST = [sys.executable, "-c", f"""\
+import resource, sys, pytest
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(pytest.main(["-x", "-q"]))
+"""]
 
 _COMPARE_SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
                   ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
@@ -135,17 +142,33 @@ def copy_tree(root: Path, files: frozenset, dest: Path) -> None:
         shutil.copy2(root / f, dest / f)
 
 
-def limit_child() -> None:
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, hard))
+def run_tests(copy: Path, files: frozenset) -> tuple[int | None, str, float]:
+    """Run tier-1 in a copy, then delete every file the run left there.
+
+    Returns the exit code (None past the wall bound), the output and the
+    seconds taken.  Deleting pytest's and Hypothesis' caches keeps each
+    run from seeing another's state.
+    """
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen(PYTEST, cwd=copy, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=WALL_SECONDS)
+        code = proc.returncode
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        code = None
+    seconds = time.perf_counter() - start
+    for path in copy.rglob("*"):
+        if path.is_file() and path.relative_to(copy).as_posix() not in files:
+            path.unlink()
+    return code, out, seconds
 
 
 def run_mutant(copies: queue.Queue, files: frozenset, mutant: dict) -> dict:
-    """Apply one mutant in a free copy, run tier-1 there, then restore the copy.
-
-    Restoring also deletes every file the run left (pytest's and
-    Hypothesis' caches among them), so no run sees another's state.
-    """
+    """Apply one mutant in a free copy, run tier-1 there, then restore the copy."""
     copy = copies.get()
     target = copy / mutant["file"]
     original = target.read_bytes()
@@ -154,31 +177,16 @@ def run_mutant(copies: queue.Queue, files: frozenset, mutant: dict) -> dict:
     assert line[at:at + len(mutant["old"])] == mutant["old"].encode(), mutant
     lines[mutant["line"] - 1] = line[:at] + mutant["new"].encode() + line[at + len(mutant["old"]):]
     target.write_bytes(b"".join(lines))
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen(PYTEST, cwd=copy, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True, start_new_session=True,
-                            preexec_fn=limit_child)
-    try:
-        out, _ = proc.communicate(timeout=WALL_SECONDS)
-        timed_out = False
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, _ = proc.communicate()
-        timed_out = True
-    seconds = time.perf_counter() - start
+    code, out, seconds = run_tests(copy, files)
     target.write_bytes(original)
-    for path in copy.rglob("*"):
-        if path.is_file() and path.relative_to(copy).as_posix() not in files:
-            path.unlink()
     copies.put(copy)
-    if timed_out:
+    if code is None:
         by = f"past the {WALL_SECONDS} s wall bound"
         return {"status": "timed out", "by": by, "seconds": seconds}
-    if proc.returncode == 0:
+    if code == 0:
         return {"status": "survived", "by": None, "seconds": seconds}
     failed = next((m.group(1) for m in map(_FAILED.match, out.splitlines()) if m), None)
-    by = failed or f"pytest exit {proc.returncode}"
+    by = failed or f"pytest exit {code}"
     return {"status": "killed", "by": by, "seconds": seconds}
 
 
@@ -207,27 +215,22 @@ def _entry(m: dict) -> dict:
     return {**entry, "nth": m["nth"]} if m["nth"] else entry
 
 
-def main(argv: list[str] | None = None) -> int:
-    here = Path(__file__).resolve().parent
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=here.parent, help="checkout to mutate")
-    parser.add_argument("--ledger", type=Path, default=here / "mutants.json")
-    parser.add_argument("--survivors", action="store_true",
-                        help="run only the mutants the ledger already lists")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
-    old = json.loads(args.ledger.read_text()) if args.ledger.exists() else {"entries": []}
+def main() -> int:
+    old = json.loads(LEDGER.read_text()) if LEDGER.exists() else {"entries": []}
     mutants = [m for name in MODULES
-               for m in find_mutants(root / f"src/menonk/{name}.py", f"src/menonk/{name}.py")]
-    if args.survivors:
-        listed = {key(e) for e in old["entries"]}
-        mutants = [m for m in mutants if key(m) in listed]
-    files = frozenset(tree_files(root))
+               for m in find_mutants(ROOT / f"src/menonk/{name}.py", f"src/menonk/{name}.py")]
+    files = frozenset(tree_files(ROOT))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies: queue.Queue = queue.Queue()
         for i in range(WORKERS):
-            copy_tree(root, files, Path(tmp) / str(i))
+            copy_tree(ROOT, files, Path(tmp) / str(i))
             copies.put(Path(tmp) / str(i))
+        code, out, _ = run_tests(Path(tmp) / "0", files)
+        if code != 0:
+            print(out, file=sys.stderr)
+            print("error: tier-1 fails on the unmutated tree; no mutant was run and "
+                  f"{LEDGER.name} is unchanged", file=sys.stderr)
+            return 1
         start = time.perf_counter()
         with ThreadPoolExecutor(WORKERS) as pool:
             futures = [pool.submit(run_mutant, copies, files, m) for m in mutants]
@@ -241,14 +244,14 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - start
     counts = {s: sum(r["status"] == s for r in results) for s in ("killed", "timed out", "survived")}
     kills = [r["seconds"] for r in results if r["status"] == "killed"]
-    summary = old.get("summary") if args.survivors else {
+    summary = {
         "modules": list(MODULES), "mutants": len(mutants), **counts,
         "median_seconds_to_kill": round(statistics.median(kills), 2) if kills else None,
         "wall_minutes": round(elapsed / 60, 1), "workers": WORKERS,
         "python": platform.python_version(), "cpus": os.cpu_count(),
     }
     ledger = {"summary": summary, "entries": merge(old["entries"], mutants, results)}
-    args.ledger.write_text(json.dumps(ledger, indent=1, ensure_ascii=False) + "\n")
+    LEDGER.write_text(json.dumps(ledger, indent=1, ensure_ascii=False) + "\n")
     print(json.dumps(counts), file=sys.stderr)
     return 0
 
