@@ -154,11 +154,11 @@ def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     the length of the first row: seven cells with brute force on, the
     five of ``batch.CLOSED_COLUMNS`` with it off.  A present cell is
     spelled as JSON spells it: ints in decimal, ``verified`` as
-    true/false by lookup.  A cell the rows lack is fixed text in the
-    template: "" in csv and "-" in plain; json-lines leaves its key out.
-    With brute force off, the lines after the header are one C-level
-    ``map`` that fills the template with each row as it comes: no
-    unpack or format runs as Python code per row.
+    true/false, looked up by a generator in front of the ``%``.  A cell
+    the rows lack is fixed text in the template: "" in csv and "-" in
+    plain; json-lines leaves its key out.  The lines after the header
+    are one C-level ``map`` that fills the template with each row as it
+    comes.
     """
     columns = batch.COLUMNS
     rows = iter(rows)
@@ -174,12 +174,10 @@ def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     else:
         template = sep.join("%s" if c in present else absent for c in columns) + "\n"
     rows = chain((first,), rows)
-    if present is batch.CLOSED_COLUMNS:
-        yield from map(template.__mod__, rows)
-    else:
-        spell = _JSON_BOOLS
-        for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rows:
-            yield template % (m, phi_k, d_s_k, pillai_k, lhs, rhs, spell[verified])
+    if present is columns:
+        rows = ((m, phi_k, d_s_k, pillai_k, lhs, rhs, _JSON_BOOLS[verified])
+                for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rows)
+    yield from map(template.__mod__, rows)
 
 
 def _note_failures(rows: Iterable[tuple], failed: list[int]) -> Iterator[tuple]:

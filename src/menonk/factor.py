@@ -134,9 +134,11 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality for the whole unsigned 128-bit domain.
 
-    Proven exact below 3.317e24 (fixed Miller-Rabin witness set); above
-    that the witnesses are combined with a strong Lucas test, for which
-    no composite passing both is known.  Never consults a random source.
+    A prime below 100 that divides n settles it; every other n, however
+    small, goes to the fixed Miller-Rabin witness set, proven exact below
+    3.317e24.  Above that the witnesses are combined with a strong Lucas
+    test, for which no composite passing both is known.  Never consults
+    a random source.
     """
     if n < 2:
         return False
@@ -144,8 +146,6 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES[:25]:  # primes below 100
         if n % p == 0:
             return n == p
-    if n < 101 * 101:
-        return True
     if not all(_strong_probable_prime(n, b) for b in _MR_BASES):
         return False
     if n < _MR_PROVEN_BOUND:
@@ -289,9 +289,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Raises ResourceLimitError if the curves spend ``_ECM_BUDGET`` reductions on n.
     """
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    if n < 0:
+    if n < 1:
         raise ValueError("factorize requires a positive integer")
     ensure_u128(n, "n")
     return _factor_pairs(n)

@@ -249,14 +249,23 @@ def test_bounded_pow_edges():
     assert bounded_pow(0, 5, 0) == 0
     with pytest.raises(Uint128OverflowError):
         check_power(3, 81)
-    # past 4300 digits str(int) refuses; the overflow is still reported as one
+    # past 4300 digits str(int) refuses; the overflow is still reported as one, and no
+    # power far past the domain is built: (2^(10^6))^(10^6) would have 10^12 bits
     for huge in (
         lambda: eval_multiplicative(pillai_rule(10**4), factorize(3)),
         lambda: ensure_u128(10**3000 * 10**3000),
         lambda: check_power(10**5000, 2),
+        lambda: check_power(2**10**6, 10**6),
     ):
+        start = time.perf_counter()
         with pytest.raises(Uint128OverflowError):
             huge()
+        assert time.perf_counter() - start < 1
+    # messages spell a value of up to 1024 bits in decimal, and only the bit length past that
+    with pytest.raises(Uint128OverflowError, match=f"^x = {2**1023} is outside"):
+        ensure_u128(2**1023, "x")
+    with pytest.raises(Uint128OverflowError, match="^x = <1025-bit integer> is outside"):
+        ensure_u128(2**1024, "x")
 
 
 def test_d_s_k_huge_k_decided_without_the_power():

@@ -42,16 +42,22 @@ def test_sieve_factorizations_match_factorize():
         assert sv.factorization(m) == factorize(m), m
 
 
-def test_sieve_errors():
+def test_sieve_errors(monkeypatch):
     with pytest.raises(ValueError):
         build_sieve(1)
-    with pytest.raises(ResourceLimitError):
-        build_sieve(10**9)
+    for limit in (10**9, 50_000_001):
+        with pytest.raises(ResourceLimitError):
+            build_sieve(limit)
     sv = build_sieve(10)
     with pytest.raises(ValueError):
         sv.factorization(11)
     with pytest.raises(ValueError):
         sv.factorization(0)
+    # The bound itself is admitted: a sieve of exactly _MAX_SIEVE_LIMIT entries is built.
+    monkeypatch.setattr(batch, "_MAX_SIEVE_LIMIT", 10)
+    assert build_sieve(10).limit == 10
+    with pytest.raises(ResourceLimitError):
+        build_sieve(11)
 
 
 def test_batch_rows_match_arith():

@@ -102,9 +102,19 @@ def test_usage_errors_exit_one_with_a_message(capsys):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err.strip() and "Traceback" not in err, argv
-    for argv in (["--help"], ["table", "--help"]):
-        assert run(argv) == EXIT_OK
-        assert capsys.readouterr().out
+    assert run(["table", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out
+    # The top-level help shows the module's summary line and each command's.
+    assert run(["--help"]) == EXIT_OK
+    words = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal's width
+    for doc in (cli.__doc__, cli.cmd_compute.__doc__, cli.cmd_verify.__doc__, cli.cmd_table.__doc__,
+                cli.cmd_residues.__doc__):
+        assert " ".join(doc.splitlines()[0].split()) in words
+
+
+def test_exit_codes_by_value():
+    codes = cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_LIMIT, cli.EXIT_VERIFY_FAILED, cli.EXIT_BROKEN_PIPE
+    assert codes == (0, 1, 2, 3, 141)
 
 
 def test_compute_usage_errors(capsys):
@@ -272,6 +282,9 @@ def test_verify_usage_errors(capsys):
     code, _, err = invoke(capsys, "verify", "--m", "1..5", "--s", "0..0", "--k", "0")
     assert code == EXIT_USAGE
     code, _, err = invoke(capsys, "verify", "--m", f"1..{2**128}", "--s", "0..0", "--k", "1")
+    assert code == EXIT_USAGE and "spans more than" in err
+    # A span of exactly sys.maxsize values is refused as too wide, not as an invalid grid.
+    code, _, err = invoke(capsys, "verify", "--m", f"0..{sys.maxsize}", "--s", "0..0", "--k", "1")
     assert code == EXIT_USAGE and "spans more than" in err
 
 
