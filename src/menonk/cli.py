@@ -180,14 +180,6 @@ def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     yield from map(template.__mod__, rows)
 
 
-def _note_failures(rows: Iterable[tuple], failed: list[int]) -> Iterator[tuple]:
-    """Pass brute-force rows through as they stream, appending to ``failed`` each m whose row failed."""
-    for row in rows:
-        if row[-1] is False:
-            failed.append(row[0])
-        yield row
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     """Tabulate all functions for m = 1..N (sieve-backed, streamed).
 
@@ -197,9 +189,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.n < 1 or args.k < 1:
         raise UsageError("--n and --k must be positive integers")
     rows = batch.batch_table(args.n, args.s, args.k, args.with_bruteforce, args.max_iterations)
-    failed: list[int] = []
+    failed = False
     if args.with_bruteforce:
-        rows = _note_failures(rows, failed)
+        def note_failures(rows: Iterable[tuple]) -> Iterator[tuple]:
+            nonlocal failed
+            for row in rows:
+                if row[-1] is False:
+                    failed = True
+                yield row
+        rows = note_failures(rows)
     lines = _render_rows(rows, args.fmt)
     if args.out is None:
         # A line at a time: the rows before a refused one are out before the exit 2.

@@ -212,10 +212,9 @@ def _ecm_split(n: int, rng: random.Random, budget: int) -> tuple[list[int], int]
     counts modular reductions; each curve is charged its bound before it runs.
     """
     for e in range(2, 10):  # n < 2^128 has no prime below 10^4, so e <= 9
-        r = math.isqrt(n) if e == 2 else round(n ** (1 / e))
-        for c in (r - 1, r, r + 1):
-            if c**e == n:
-                return [c] * e, budget
+        r = math.isqrt(n) if e == 2 else round(n ** (1 / e))  # exact: r < 2^43 for e >= 3
+        if r**e == n:
+            return [r] * e, budget
     b1 = 150.0  # above D/2, so the giant steps start at i = 1
     while True:
         primes = _SMALL_PRIMES

@@ -198,38 +198,34 @@ def test_criterion_7_batch_consistency():
     check("criterion 7: batch table N=300 fully verified, paths agree", ok)
 
 
+def golden_cases() -> list[list[str]]:
+    """The lines of tests/golden/CASES: a golden file's name, then the menonk arguments that print it."""
+    text = (GOLDEN_DIR / "CASES").read_text(encoding="utf-8")
+    return [line.split() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+
+
 def test_criterion_8_cli_golden_files(capsys):
     """Committed CLI outputs reproduce byte-for-byte with contract exit codes."""
-    cases = [
-        (["verify", "--m", "12..12", "--s", "1..1", "--k", "1"], "verify_m12.txt"),
-        (["table", "--n", "12", "--s", "1", "--k", "1", "--format", "csv"], "table_n12_csv.txt"),
-        (["table", "--n", "12", "--s", "1", "--k", "1", "--format", "json-lines"], "table_n12_jsonl.txt"),
-        (
-            ["table", "--n", "12", "--s", "1", "--k", "1", "--format", "json-lines", "--no-bruteforce"],
-            "table_n12_jsonl_no_bruteforce.txt",
-        ),
-        # The bench's csv shape, up to the prime powers 16, 25 and 27.
-        (
-            ["table", "--n", "27", "--s", "1", "--k", "1", "--format", "csv", "--no-bruteforce"],
-            "table_n27_csv_no_bruteforce.txt",
-        ),
-        (["table", "--n", "12", "--s", "1", "--k", "2", "--format", "plain"], "table_n12_k2_plain.txt"),
-        (["compute", "cohen-phi", "--m", "4", "--k", "2"], "compute_cohen_phi.txt"),
-        (["compute", "d-s", "--m", "12", "--s", "3"], "compute_d_s.txt"),
-        (["compute", "menon-lhs", "--m", "12", "--s", "2", "--k", "1"], "compute_menon_lhs.txt"),
-        (["residues", "--m", "12", "--k", "2"], "residues_m12_k2.txt"),
-    ]
-    ok = True
-    for argv, golden_name in cases:
+    differ = []
+    for name, *argv in golden_cases():
         code = run(argv)
         out = capsys.readouterr().out
-        expected = (GOLDEN_DIR / golden_name).read_text(encoding="utf-8")
-        ok &= code == 0 and out == expected
+        if code != 0 or out != (GOLDEN_DIR / name).read_text(encoding="utf-8"):
+            differ.append(name)
     # exit-code contract: usage 1, cap/overflow 2
+    ok = not differ
     ok &= run(["compute", "phi"]) == 1
     ok &= run(["--max-iterations", "5", "residues", "--m", "12", "--k", "1"]) == 2
     capsys.readouterr()
-    check("criterion 8: CLI golden files byte-exact, exit codes per contract", ok)
+    check(f"criterion 8: CLI golden files byte-exact, exit codes per contract (differ: {differ})", ok)
+
+
+def test_golden_manifest_lists_every_file():
+    """CASES names each file under tests/golden/ exactly once, and no file that is missing."""
+    names = sorted(name for name, *_ in golden_cases())
+    assert names == sorted(p.name for p in GOLDEN_DIR.iterdir() if p.name != "CASES")
+    # CI reads CASES with the shell's read, which drops an unterminated last line.
+    assert (GOLDEN_DIR / "CASES").read_text(encoding="utf-8").endswith("\n")
 
 
 def test_readme_examples():

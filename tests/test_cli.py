@@ -204,14 +204,6 @@ def test_verify_multiple_k_and_verbose(capsys):
     assert sum(1 for line in lines if line.startswith("ok ")) == 6
 
 
-def test_verify_verbose_golden(capsys):
-    # Every lhs and rhs of both routes over 40 moduli, 7 shifts and k = 1, 2, byte for byte.
-    golden = Path(__file__).parent / "golden" / "verify_m1_40_k12_verbose.txt"
-    code, out, _ = invoke(capsys, "verify", "--m", "1..40", "--s", "-3..3", "--k", "1,2", "--verbose")
-    assert code == EXIT_OK
-    assert out == golden.read_text(encoding="utf-8")
-
-
 def test_verify_skips_over_cap(capsys):
     code, out, _ = invoke(
         capsys, "--max-iterations", "5", "verify", "--m", "1..12", "--s", "0..1", "--k", "1"

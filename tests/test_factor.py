@@ -141,6 +141,19 @@ def test_factorize_at_the_trial_bound():
         assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
 
 
+@pytest.mark.parametrize("e", range(2, 10))
+def test_factorize_largest_prime_power_below_2_128(e):
+    # The perfect-power step reads r off isqrt (e = 2) or a rounded float root and tries r
+    # alone; at the top of the domain a root off by one would leave p**e to the curves,
+    # which cannot split it within the budget.
+    p = sympy.prevprime(sympy.integer_nthroot(2**128 - 1, e)[0] + 1)
+    assert p**e < 2**128 <= sympy.nextprime(p) ** e
+    factor._factor_pairs.cache_clear()
+    start = time.perf_counter()
+    assert factorize(p**e) == ((p, e),)
+    assert time.perf_counter() - start < 1
+
+
 def test_trial_division_proves_its_last_cofactor(monkeypatch):
     # Trial division stops at the first prime p with p*p above the cofactor, which is
     # then 1 or a prime: below 9973**2 neither is_prime nor the seeded curves run.
