@@ -223,7 +223,7 @@ def cmd_residues(args: argparse.Namespace) -> None:
     """Print the standard k-th power reduced residue set modulo m."""
     if args.m < 1 or args.k < 1:
         raise UsageError("--m and --k must be positive integers")
-    elements = standard_residue_set(args.m, args.k, args.max_iterations).elements
+    elements = standard_residue_set(args.m, args.k, args.max_iterations)
     # The text goes out a block at a time, not as a str per member plus one joined line.
     sep = ""
     for o in range(0, len(elements), _RESIDUE_BLOCK):

@@ -14,10 +14,11 @@ they refuse the same pairs with the same words.
 
 Every literal pass over the classes mod m**k (residue enumeration,
 direct gcd sums, and the checks of a set the caller holds, which are
-``menon.menon_sum_over`` and ``ResidueSet.validate``) goes through one
-gate, ``check_classes``: it runs ``check_power``, then visits at most
-min(cap, MAX_TABLE_CLASSES) classes, so an oversized modulus fails
-loudly instead of hanging, and a raised cap cannot exhaust memory.
+``menon.menon_sum_over`` and ``residues.check_reduced_set``) goes
+through one gate, ``check_classes``: it runs ``check_power``, then
+visits at most min(cap, MAX_TABLE_CLASSES) classes, so an oversized
+modulus fails loudly instead of hanging, and a raised cap cannot
+exhaust memory.
 The checks of a held set pass U128_MAX as their cap, so only
 MAX_TABLE_CLASSES refuses them.  Every pass over the mask or the gcd
 table names itself "a literal pass over the classes mod m^k" when
@@ -40,15 +41,15 @@ DEFAULT_MAX_ITERATIONS = 10_000_000
 #: at 2.0 for m = 4 * 10**6, k = 1, so at most about 67 MB.
 #: ``menon_sum_over`` holds a 4-byte gcd a class: it peaks at 4.2 to
 #: 4.4 bytes a class there and for m = 999983, k = 1, about 150 MB.
-#: ``ResidueSet.validate`` holds only the mask, marked in place: 1.0
+#: ``check_reduced_set`` holds only the mask, marked in place: 1.0
 #: byte a class at m = 999983, k = 1 and 1.5 at m = 1000, k = 2.
-#: The standard residue set also holds its members: it peaks at 31.6 and
-#: 18.2 bytes a class there, and at 42.2 for the prime m = 3999971,
-#: k = 1, about 1.4 GB at this bound.  The ``residues`` command writes
-#: that tuple's text a block at a time: its max RSS was 431 MB for the
-#: prime m = 9999991, k = 1, 10**7 classes (about 43 bytes a class;
-#: 2 cores, CPython 3.11.7).  At this bound that extrapolates to about
-#: 1.4 GB; that case was not run.
+#: The standard residue set also holds its members, a tuple of ints:
+#: it peaks at 31.6 and 18.2 bytes a class there, and at 42.2 for the
+#: prime m = 3999971, k = 1, about 1.4 GB at this bound.  The
+#: ``residues`` command writes that tuple's text a block at a time: its
+#: max RSS was 431 MB for the prime m = 9999991, k = 1, 10**7 classes
+#: (about 43 bytes a class; 2 cores, CPython 3.11.7).  At this bound
+#: that extrapolates to about 1.4 GB; that case was not run.
 MAX_TABLE_CLASSES = 2**25
 
 #: Environment variable the CLI reads as its default --max-iterations.

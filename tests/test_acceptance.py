@@ -29,7 +29,7 @@ from menonk.menon import (
     verify_menon_multiplicativity,
     verify_unit_translation,
 )
-from menonk.residues import crt_combine, standard_residue_set
+from menonk.residues import check_reduced_set, crt_combine, standard_residue_set
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -159,10 +159,10 @@ def test_criterion_6_structural_lemmas():
                 continue
             for k in (1, 2):
                 combined = crt_combine(
-                    standard_residue_set(m1, k), standard_residue_set(m2, k)
+                    standard_residue_set(m1, k), m1, standard_residue_set(m2, k), m2, k
                 )
-                combined.validate()
-                ok &= combined.elements == standard_residue_set(m1 * m2, k).elements
+                check_reduced_set(combined, m1 * m2, k)
+                ok &= combined == standard_residue_set(m1 * m2, k)
 
     # Menon-sum multiplicativity: 50 sampled coprime pairs
     done = 0

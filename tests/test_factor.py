@@ -142,13 +142,17 @@ def test_factorize_at_the_trial_bound():
 
 
 @pytest.mark.parametrize("e", range(2, 10))
-def test_factorize_largest_prime_power_below_2_128(e):
+def test_factorize_largest_prime_power_below_2_128(e, monkeypatch):
     # The perfect-power step reads r off isqrt (e = 2) or a rounded float root and tries r
-    # alone; at the top of the domain a root off by one would leave p**e to the curves,
-    # which cannot split it within the budget.
+    # alone; at the top of the domain a root off by one would leave p**e to the curves.
+    # The curves are refused, so every e is pinned by the step itself, not by the clock.
+    def no_curve(*args):
+        raise AssertionError("the perfect-power step left p**e to the curves")
+
     p = sympy.prevprime(sympy.integer_nthroot(2**128 - 1, e)[0] + 1)
     assert p**e < 2**128 <= sympy.nextprime(p) ** e
     factor._factor_pairs.cache_clear()
+    monkeypatch.setattr(factor, "_ladder", no_curve)
     start = time.perf_counter()
     assert factorize(p**e) == ((p, e),)
     assert time.perf_counter() - start < 1

@@ -37,7 +37,7 @@ from menonk.menon import (
     verify_prime_power,
     verify_unit_translation,
 )
-from menonk.residues import ResidueSet, crt_combine, standard_residue_set
+from menonk.residues import check_reduced_set, crt_combine, standard_residue_set
 
 
 def test_brute_force_worked_sums():
@@ -198,7 +198,7 @@ def test_sum_independent_of_residue_representatives():
         base = standard_residue_set(m, k)
         mk = m**k
         for s in (-7, -1, 0, 1, 2, 25):
-            shifted = [a + rng.randrange(-5, 6) * mk for a in base.elements]
+            shifted = [a + rng.randrange(-5, 6) * mk for a in base]
             assert menon_sum_over(shifted, m, s, k) == menon_sum_bruteforce(m, s, k)
 
 
@@ -207,7 +207,7 @@ def test_menon_sums_match_the_per_element_loop():
         for m in range(1, m_max + 1):
             mk = m**k
             shifts = [0, 1, -1, 13, -13, mk, 2 * mk + 3, 2**200, -(2**200)]
-            elements = standard_residue_set(m, k).elements
+            elements = standard_residue_set(m, k)
             expected = [menon_sum_over(elements, m, s, k) for s in shifts]
             assert list(menon_sums(m, k, shifts)) == expected, (m, k)
 
@@ -254,10 +254,10 @@ def test_no_literal_entry_point_reads_factorize(monkeypatch):
         lambda: arith.pillai_bruteforce(60, 2),
         lambda: menon_sum_bruteforce(60, 4, 2),
         lambda: standard_residue_set(60, 2),
-        lambda: menon_sum_over(standard_residue_set(60, 2).elements, 60, 4, 2),
+        lambda: menon_sum_over(standard_residue_set(60, 2), 60, 4, 2),
         lambda: verify_unit_translation(60, 4, 2, 7),
-        lambda: standard_residue_set(60, 2).validate(),
-        lambda: crt_combine(standard_residue_set(4, 2), standard_residue_set(15, 2)),
+        lambda: check_reduced_set(standard_residue_set(60, 2), 60, 2),
+        lambda: crt_combine(standard_residue_set(4, 2), 4, standard_residue_set(15, 2), 15, 2),
         lambda: verify_menon_multiplicativity(4, 15, 4, 2),
     )
     expected = [literal() for literal in literals]
@@ -269,8 +269,8 @@ def test_false_factorization_leaves_the_literal_checkers_exact(monkeypatch):
     # Were every n prime, (x, 12**2)_2 would be read as 1 or 144, and the sum as 96.
     monkeypatch.setattr(arith, "factorize", lambda n: ((n, 1),))
     residues = standard_residue_set(12, 2)
-    assert menon_sum_over(residues.elements, 12, 2, 2) == 576 == menon_sum_bruteforce(12, 2, 2)
-    residues.validate()  # counted against the mask, not the closed phi_2(12), here 143
+    assert menon_sum_over(residues, 12, 2, 2) == 576 == menon_sum_bruteforce(12, 2, 2)
+    check_reduced_set(residues, 12, 2)  # counted against the mask, not the closed phi_2(12), here 143
     assert len(residues) == 96
     assert verify_unit_translation(12, 2, 2, 5)
     assert menon_closed_form(12, 2, 2) != 576  # only the closed route believes the lie
@@ -497,13 +497,13 @@ def test_closed_forms_answer_or_refuse_at_the_domain_edges(m, s, k):
 def _literal_edge_calls(m, s, k):
     """The literal public API at (m, s, k): residue sets, oracles, batch_table, verifiers."""
     return (
-        lambda: standard_residue_set(m, k).elements,
-        lambda: ResidueSet(m, k, (1,)).validate(),
+        lambda: standard_residue_set(m, k),
+        lambda: check_reduced_set((1,), m, k),
         lambda: menon_sum_over([1], m, s, k),
         lambda: cohen_phi_bruteforce(m, k),
         lambda: pillai_bruteforce(m, k),
         lambda: list(batch_table(m, s, k, True)),
-        lambda: crt_combine(standard_residue_set(m, k), standard_residue_set(1, k)).elements,
+        lambda: crt_combine(standard_residue_set(m, k), m, standard_residue_set(1, k), 1, k),
         lambda: verify_unit_translation(m, s, k, 7),
         lambda: verify_menon_multiplicativity(m, 1, s, k),
     )

@@ -58,7 +58,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tools" / "mutants.json"
 MODULES = ("arith", "menon", "batch", "residues", "limits", "cli")
-WALL_SECONDS = 90
+# A hung test fails at tests/conftest.py's 60 s per-test bound; twice that leaves room for the
+# rest of the run, so a hang reads as killed under that test's name, not as timed out.
+WALL_SECONDS = 120
 WORKERS = 2
 ADDRESS_SPACE = 1 << 30  # tier-1 peaks near 150 MB; a mutant that grows past this fails
 # The child bounds its own address space: a preexec_fn is not safe under the worker threads.
