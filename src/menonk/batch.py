@@ -4,13 +4,16 @@ The sieve is ``factor.smallest_prime_factors``, the one sieve in the
 package: fewer than N ln(N) / 2 array writes, all by C-level slice
 assignments rather than a Python loop per entry.  The rows then turn
 that array in place, by more slice strokes, into the prime-power chain:
-q[m] is the power of m's smallest prime that exactly divides m, so
+q[m] is the power of m's largest prime that exactly divides m, so
 m, m // q[m], ... walks m's prime powers with no division loop per row
 and no second array.  Every column is multiplicative, so a row is the
 product of its prime-power rules (arith's ``cohen_phi_rule``,
-``d_s_k_rule`` and ``pillai_rule``, each written once) along that
-chain.  Rule values are cached for the powers of the primes up to
-isqrt(N) and for the larger primes up to N // 8, which recur.  The
+``d_s_k_rule`` and ``pillai_rule``, each written once) at q[m] and the
+products of the row m // q[m].  The products of the rows up to isqrt(N)
+are kept, and a row with a prime above isqrt(N) reaches one of them in
+that one step; any other row walks its chain down to one.  Rule values
+are cached for the powers of the primes up to isqrt(N) and for the
+larger primes up to N // 8, which recur.  The
 Pillai column takes that multiplicative route rather than
 arith.pillai's divisor sum.  No command compares the two; only the
 tests do (``test_batch`` and the fault matrix in ``test_cli``), so the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .arith import cohen_phi_rule, d_s_k_rule, pillai_rule
@@ -136,42 +140,61 @@ def _rows(
     """The rows, from the call's own spf array, which becomes the prime-power chain.
 
     The primes p <= isqrt(n) are read off spf first.  Then, primes
-    descending and v = 1, 2, ... for each, one slice stroke sets
-    q[p^v::p^v] = p^v, so the last stroke on m leaves the power of m's
-    smallest prime that exactly divides m; a prime above isqrt(n) keeps
-    q[P] = P.  Each column is multiplicative, so a row is the product of
-    its rule values at q[m], q[m // q[m]], ...  Those of the prime powers
-    of p <= isqrt(n) are cached up front, a few hundred entries.  A row
-    has at most one prime factor P above isqrt(n), with v = 1; its rules
-    are cached at the first row P <= n // 8 meets (a larger P divides at
-    most 7 rows), and called directly above that.
+    ascending and v = 1, 2, ... for each, one slice stroke sets
+    q[p^v::p^v] = p^v; each prime P in (isqrt(n), n // 2] strikes last,
+    q[P::P] = P.  So the last stroke on m leaves the power of m's
+    largest prime that exactly divides m; a prime above n // 2 divides
+    no other row and keeps q[P] = P.  Each column is multiplicative, so
+    a row is its rule values at q[m] times the products of the row
+    r = m // q[m].  The products of every r <= isqrt(n) are kept, a few
+    hundred tuples; a row with no prime above isqrt(n) walks q[r],
+    q[r // q[r]], ... while r > isqrt(n).  The rule values of the prime
+    powers of p <= isqrt(n) are cached up front, a few hundred entries.
+    A row has at most one prime factor P above isqrt(n), with v = 1, so
+    it is q[m] and leaves r <= isqrt(n); its rules are cached at the
+    first row P <= n // 8 meets (a larger P divides at most 7 rows),
+    and called directly above that.
     """
     rules = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     phi_rule, dsk_rule, pil_rule = rules
-    primes = [p for p in range(2, math.isqrt(n) + 1) if q[p] == p]
-    local = {}
-    for p in reversed(primes):
+    root = math.isqrt(n)
+    primes = [p for p in range(2, root + 1) if q[p] == p]
+    local = {1: (1, 1, 1)}  # q[1] = 1, the empty product
+    for p in primes:
         pv, v = p, 1
         while pv <= n:
             local[pv] = tuple(rule(p, v) for rule in rules)
             q[pv::pv] = array("I", [pv]) * (n // pv)
             pv, v = pv * p, v + 1
+    # q[j] == j above isqrt(n) marks a prime, or a power that local holds and must not strike again.
+    for big in range(root + 1, n // 2 + 1):
+        if q[big] == big and big not in local:
+            q[big::big] = array("I", [big]) * (n // big)
+    products = [(1, 1, 1)] * 2  # r = 0 is never read
+    for r in range(2, root + 1):
+        f = q[r]
+        products.append(tuple(map(mul, local[f], products[r // f])))
     recurring = n // 8
     for m in range(1, n + 1):
-        phi_k = dsk = pil = 1
-        rest = m
-        while rest > 1:
+        f = q[m]
+        at = local.get(f)
+        if at is None:  # three calls: a tuple over a generator made the rows 20% slower
+            at = phi_rule(f, 1), dsk_rule(f, 1), pil_rule(f, 1)
+            if f <= recurring:
+                local[f] = at
+        phi_k, dsk, pil = at
+        rest = m // f
+        while rest > root:  # no prime above isqrt(n) is left, so local holds q[rest]
             f = q[rest]
-            at = local.get(f)
-            if at is None:  # three calls: a tuple over a generator made the rows 20% slower
-                at = phi_rule(f, 1), dsk_rule(f, 1), pil_rule(f, 1)
-                if f <= recurring:
-                    local[f] = at
-            phi_f, dsk_f, pil_f = at
+            phi_f, dsk_f, pil_f = local[f]
             phi_k *= phi_f
             dsk *= dsk_f
             pil *= pil_f
             rest //= f
+        phi_f, dsk_f, pil_f = products[rest]
+        phi_k *= phi_f
+        dsk *= dsk_f
+        pil *= pil_f
         # phi_k <= m**k < 2**128, since batch_table refused n**k >= 2**128, and
         # d_s_k * phi_k < P_k at every prime power: only P_k can leave the domain.
         if pil > U128_MAX:

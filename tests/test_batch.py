@@ -85,6 +85,19 @@ def test_batch_columns_match_the_scalar_functions(k):
             assert r[1:] == expected, (r[0], s)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("s", [0, 1, 12])
+def test_batch_tables_match_the_scalar_functions_at_every_small_n(s, k):
+    # isqrt(n), n // 2 and n // 8 move with n: the cached cofactor rows, the primes that
+    # strike the chain and the primes whose rules are cached all change at every table size.
+    expected = []
+    for m in range(1, 101):
+        phi_k, dsk = cohen_phi(m, k), d_s_k(m, s, k)
+        expected.append((m, phi_k, dsk, pillai(m, k), dsk * phi_k))
+    for n in range(1, 101):
+        assert list(batch_table(n, s, k)) == expected[:n], n
+
+
 def test_batch_rows_take_the_prime_power_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("a row was factored again")
@@ -150,8 +163,9 @@ def test_batch_rule_calls_are_counted_exactly(monkeypatch, n, cached, recurring,
 
 def test_batch_rows_peak_memory():
     # The chain array holds 4 bytes a row, and a stroke building it at most 2 more;
-    # the rules cached for the primes up to n // 8 add about 4 (8.0 bytes a row in all,
-    # CPython 3.11).  Caching every prime up to n // 2 would take about 17.
+    # the rules cached for the primes up to n // 8 add about 4, and the products kept for
+    # the rows up to isqrt(n) under 1 (8.8 bytes a row in all, CPython 3.11).  Caching
+    # every prime up to n // 2 would take about 18.
     n = 25_000
     tracemalloc.start()
     try:
