@@ -3,15 +3,16 @@
 The sieve is ``factor.smallest_prime_factors``, the one sieve in the
 package: fewer than N ln(N) / 2 array writes, all by C-level slice
 assignments rather than a Python loop per entry.  The rows then turn
-that array in place, by more slice strokes, into the prime-power chain:
-q[m] is the power of m's largest prime that exactly divides m, so
-m, m // q[m], ... walks m's prime powers with no division loop per row
-and no second array.  Every column is multiplicative, so a row is the
-product of its prime-power rules (arith's ``cohen_phi_rule``,
-``d_s_k_rule`` and ``pillai_rule``, each written once) at q[m] and the
-products of the row m // q[m].  The products of the rows up to isqrt(N)
-are kept, and a row with a prime above isqrt(N) reaches one of them in
-that one step; any other row walks its chain down to one.  Rule values
+that array in place into the prime-power chain, by slice strokes in one
+ascending pass over the primes up to N // 2: q[m] is the power of m's
+largest prime that exactly divides m, so m, m // q[m], ... walks m's
+prime powers with no division loop per row and no second array.  Every
+column is multiplicative, so a row is the product of its prime-power
+rules (arith's ``cohen_phi_rule``, ``d_s_k_rule`` and ``pillai_rule``,
+each written once) at q[m] and the products of the row m // q[m].
+The products of the rows up to isqrt(N) are kept, and a row with a
+prime above isqrt(N) reaches one of them in that one step; any other
+row walks its chain down to one.  Rule values
 are cached for the powers of the primes up to isqrt(N) and for the
 larger primes up to N // 8, which recur.  The
 Pillai column takes that multiplicative route rather than
@@ -139,12 +140,13 @@ def _rows(
 ) -> Iterator[tuple]:
     """The rows, from the call's own spf array, which becomes the prime-power chain.
 
-    The primes p <= isqrt(n) are read off spf first.  Then, primes
-    ascending and v = 1, 2, ... for each, one slice stroke sets
-    q[p^v::p^v] = p^v; each prime P in (isqrt(n), n // 2] strikes last,
-    q[P::P] = P.  So the last stroke on m leaves the power of m's
-    largest prime that exactly divides m; a prime above n // 2 divides
-    no other row and keeps q[P] = P.  Each column is multiplicative, so
+    One ascending pass over j = 2 .. n // 2 strikes the chain.  It skips
+    j with q[j] != j, a composite, and j already in the rule cache, a
+    power of a smaller prime; every other j is a prime p, and for
+    v = 1, 2, ... while p^v <= n one slice stroke sets q[p^v::p^v] = p^v
+    (v = 1 alone for p > isqrt(n)).  So the last stroke on m leaves the
+    power of m's largest prime that exactly divides m; a prime above
+    n // 2 divides no other row and keeps q[P] = P.  Each column is multiplicative, so
     a row is its rule values at q[m] times the products of the row
     r = m // q[m].  The products of every r <= isqrt(n) are kept, a few
     hundred tuples; a row with no prime above isqrt(n) walks q[r],
@@ -158,18 +160,16 @@ def _rows(
     rules = cohen_phi_rule(k), d_s_k_rule(s, k), pillai_rule(k)
     phi_rule, dsk_rule, pil_rule = rules
     root = math.isqrt(n)
-    primes = [p for p in range(2, root + 1) if q[p] == p]
     local = {1: (1, 1, 1)}  # q[1] = 1, the empty product
-    for p in primes:
+    for p in range(2, n // 2 + 1):
+        if q[p] != p or p in local:  # a composite, or a power already struck
+            continue
         pv, v = p, 1
-        while pv <= n:
-            local[pv] = tuple(rule(p, v) for rule in rules)
+        while pv <= n:  # once for p > isqrt(n), whose square is past n
+            if p <= root:
+                local[pv] = tuple(rule(p, v) for rule in rules)
             q[pv::pv] = array("I", [pv]) * (n // pv)
             pv, v = pv * p, v + 1
-    # q[j] == j above isqrt(n) marks a prime, or a power that local holds and must not strike again.
-    for big in range(root + 1, n // 2 + 1):
-        if q[big] == big and big not in local:
-            q[big::big] = array("I", [big]) * (n // big)
     products = [(1, 1, 1)] * 2  # r = 0 is never read
     for r in range(2, root + 1):
         f = q[r]

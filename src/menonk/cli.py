@@ -15,6 +15,7 @@ import contextlib
 import os
 import re
 import sys
+from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -59,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message} (see '{self.prog} --help')")
 
 
-def _max_iterations(text: str, name: str = "--max-iterations") -> int:
+def _positive_int(name: str, text: str) -> int:
+    """``text`` as an integer >= 1; any other text is refused in one wording naming ``name``."""
     with contextlib.suppress(ValueError):
         if int(text) >= 1:
             return int(text)
@@ -80,12 +82,7 @@ def _parse_range(text: str, name: str) -> range:
 
 
 def _parse_k_set(text: str) -> list[int]:
-    try:
-        ks = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--k expects integers like 1 or 1,2,3, got {text!r}") from None
-    if any(k < 1 for k in ks):
-        raise UsageError("--k values must be positive")
+    ks = [_positive_int("--k", part) for part in text.split(",")]
     seen = set()
     for k in ks:
         if k in seen:
@@ -186,8 +183,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     With brute force on, the exit is 3 if any row reads verified=false,
     once every row is written.
     """
-    if args.n < 1 or args.k < 1:
-        raise UsageError("--n and --k must be positive integers")
     rows = batch.batch_table(args.n, args.s, args.k, args.with_bruteforce, args.max_iterations)
     failed = False
     if args.with_bruteforce:
@@ -221,8 +216,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_residues(args: argparse.Namespace) -> None:
     """Print the standard k-th power reduced residue set modulo m."""
-    if args.m < 1 or args.k < 1:
-        raise UsageError("--m and --k must be positive integers")
     elements = standard_residue_set(args.m, args.k, args.max_iterations)
     # The text goes out a block at a time, not as a str per member plus one joined line.
     sep = ""
@@ -233,9 +226,12 @@ def cmd_residues(args: argparse.Namespace) -> None:
 
 
 def _build_parser() -> _Parser:
+    def positive(parser: _Parser, flag: str, **kwargs) -> None:
+        parser.add_argument(flag, type=partial(_positive_int, flag), **kwargs)
+
     parser = _Parser(prog="menonk", description=__doc__.partition("\n")[0])
-    parser.add_argument("--max-iterations", type=_max_iterations, help="Override the brute-force "
-                        f"loop cap (default {DEFAULT_MAX_ITERATIONS}; also read from ${MAX_ITERATIONS_ENV}).")
+    positive(parser, "--max-iterations", help="Override the brute-force loop cap "
+             f"(default {DEFAULT_MAX_ITERATIONS}; also read from ${MAX_ITERATIONS_ENV}).")
     commands = parser.add_subparsers(dest="command", required=True, prog="menonk")
 
     def command(fn, **kwargs) -> _Parser:
@@ -247,18 +243,18 @@ def _build_parser() -> _Parser:
     epilog = "examples:" + "".join(f"\n  menonk compute {e}" for e in examples)
     sub = command(cmd_compute, epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub.add_argument("function", choices=sorted(_COMPUTE_FUNCTIONS))
-    sub.add_argument("--m", type=int, help="Modulus (positive integer).")
+    positive(sub, "--m", help="Modulus (positive integer).")
     sub.add_argument("--s", type=int, help="Integer shift parameter.")
-    sub.add_argument("--k", type=int, help="Gcd power (positive integer).")
+    positive(sub, "--k", help="Gcd power (positive integer).")
     sub = command(cmd_verify)
     sub.add_argument("--m", required=True, help="Inclusive modulus range lo..hi.")
     sub.add_argument("--s", required=True, help="Inclusive shift range lo..hi.")
     sub.add_argument("--k", required=True, help="Power or comma-separated powers, e.g. 1,2,3.")
     sub.add_argument("--verbose", action="store_true", help="Print an ok line per grid point.")
     sub = command(cmd_table)
-    sub.add_argument("--n", type=int, required=True, help="Tabulate m = 1..N.")
+    positive(sub, "--n", required=True, help="Tabulate m = 1..N.")
     sub.add_argument("--s", type=int, required=True, help="Integer shift parameter.")
-    sub.add_argument("--k", type=int, required=True, help="Gcd power (positive integer).")
+    positive(sub, "--k", required=True, help="Gcd power (positive integer).")
     sub.add_argument("--format", dest="fmt", choices=["plain", "csv", "json-lines"],
                      default="plain", help="Output format (default: plain).")
     sub.add_argument("--with-bruteforce", action="store_true", default=True,
@@ -266,8 +262,8 @@ def _build_parser() -> _Parser:
     sub.add_argument("--no-bruteforce", dest="with_bruteforce", action="store_false")
     sub.add_argument("--out", help="Write the table to this file, not to stdout.")
     sub = command(cmd_residues)
-    sub.add_argument("--m", type=int, required=True, help="Modulus (positive integer).")
-    sub.add_argument("--k", type=int, required=True, help="Gcd power (positive integer).")
+    positive(sub, "--m", required=True, help="Modulus (positive integer).")
+    positive(sub, "--k", required=True, help="Gcd power (positive integer).")
     return parser
 
 
@@ -281,7 +277,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         # Read per call, not at import; an explicit --max-iterations wins.
         if args.max_iterations is None and (env := os.environ.get(MAX_ITERATIONS_ENV)):
             name = f"{MAX_ITERATIONS_ENV} (the default --max-iterations)"
-            args.max_iterations = _max_iterations(env, name)
+            args.max_iterations = _positive_int(name, env)
         return args.cmd(args) or EXIT_OK
     except SystemExit as exc:  # --help, once its text is printed
         return exc.code

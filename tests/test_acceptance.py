@@ -198,26 +198,35 @@ def test_criterion_7_batch_consistency():
     check("criterion 7: batch table N=300 fully verified, paths agree", ok)
 
 
-def golden_cases() -> list[list[str]]:
-    """The lines of tests/golden/CASES: a golden file's name, then the menonk arguments that print it."""
-    text = (GOLDEN_DIR / "CASES").read_text(encoding="utf-8")
-    return [line.split() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+def golden_cases() -> list[tuple[str, int, list[str]]]:
+    """The lines of tests/golden/CASES: a golden file's name, its exit code, the menonk arguments.
+
+    The code is N where the name is followed by exit=N, and 0 where it is not.
+    """
+    cases = []
+    for line in (GOLDEN_DIR / "CASES").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, *argv = line.split()
+            code = int(argv.pop(0).removeprefix("exit=")) if argv[0].startswith("exit=") else 0
+            cases.append((name, code, argv))
+    return cases
 
 
 def test_criterion_8_cli_golden_files(capsys):
-    """Committed CLI outputs reproduce byte-for-byte with contract exit codes."""
+    """Committed CLI outputs and refusals reproduce byte-for-byte with contract exit codes.
+
+    An exit-0 case prints its file on stdout and nothing on stderr; any
+    other case prints nothing on stdout and its file on stderr.
+    """
     differ = []
-    for name, *argv in golden_cases():
-        code = run(argv)
-        out = capsys.readouterr().out
-        if code != 0 or out != (GOLDEN_DIR / name).read_text(encoding="utf-8"):
+    for name, code, argv in golden_cases():
+        golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        got = run(argv)
+        streams = capsys.readouterr()
+        if got != code or streams != ((golden, "") if code == 0 else ("", golden)):
             differ.append(name)
-    # exit-code contract: usage 1, cap/overflow 2
-    ok = not differ
-    ok &= run(["compute", "phi"]) == 1
-    ok &= run(["--max-iterations", "5", "residues", "--m", "12", "--k", "1"]) == 2
-    capsys.readouterr()
-    check(f"criterion 8: CLI golden files byte-exact, exit codes per contract (differ: {differ})", ok)
+    check(f"criterion 8: CLI golden files byte-exact, exit codes per contract (differ: {differ})",
+          not differ)
 
 
 def test_golden_manifest_lists_every_file():
