@@ -1,10 +1,11 @@
 """Bulk tabulation over m in [1, N] backed by a smallest-prime-factor sieve.
 
 The sieve is ``factor.smallest_prime_factors``, the one sieve in the
-package: fewer than N ln(N) / 2 array writes, all by C-level slice
-assignments rather than a Python loop per entry.  The rows then turn
-that array in place into the prime-power chain, by slice strokes in one
-ascending pass over the primes up to N // 2: q[m] is the power of m's
+package: it strikes only primes, fewer than N ln(ln(N)) array writes
+(2.03 N at N = 301234), all by C-level slice assignments rather than a
+Python loop per entry.  The rows then turn that array in place into the
+prime-power chain, by slice strokes in one ascending pass over the
+primes up to N // 2: q[m] is the power of m's
 largest prime that exactly divides m, so m, m // q[m], ... walks m's
 prime powers with no division loop per row and no second array.  Every
 column is multiplicative, so a row is the product of its prime-power
@@ -20,15 +21,16 @@ arith.pillai's divisor sum.  No command compares the two; only the
 tests do (``test_batch`` and the fault matrix in ``test_cli``), so the
 table prints the column unchecked.  ``SpfSieve`` is a named tuple that
 pairs the limit with the spf array and adds ``factorization``.  A row
-is a plain tuple: with brute force on, its seven cells are in ``COLUMNS``
-order; with it off, it holds only the five closed-form cells, in
-``CLOSED_COLUMNS`` order, and no placeholder for the two it lacks.
+is a plain tuple: the row loop yields only the five closed-form cells,
+in ``CLOSED_COLUMNS`` order, and with brute force on a wrapper puts in
+the literal sum and its verdict, for the seven cells of ``COLUMNS``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import islice
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -100,17 +102,28 @@ def batch_table(
 ) -> Iterator[tuple]:
     """Stream rows for m = 1..n, each a product along the sieve's prime-power chain.
 
-    A row is a plain tuple: seven cells in ``COLUMNS`` order with brute
-    force on, five in ``CLOSED_COLUMNS`` order with it off.  Arguments
-    are validated (and the sieve built) up front; the rows themselves
-    are generated lazily in ascending m.  Since n**k < 2**128, every
-    p**v dividing a row has v*k < 128, so no rule refuses; only the P_k
-    product can leave the domain.
+    A row is a plain tuple: ``_rows`` yields the five closed cells in
+    ``CLOSED_COLUMNS`` order, and with brute force on ``_with_bruteforce``
+    puts in the literal sum and its verdict, for the seven of
+    ``COLUMNS``.  Arguments are validated (and the sieve built) up
+    front; the rows themselves are generated lazily in ascending m.
+    Since n**k < 2**128, every p**v dividing a row has v*k < 128, so no
+    rule refuses; only the P_k product can leave the domain.
     """
     check_power(n, k)
     if with_bruteforce:
         _check_bruteforce_budget(n, k, max_iterations)
-    return _rows(n, s, k, with_bruteforce, max_iterations, build_sieve(max(n, 2)).spf)
+    rows = _rows(n, s, k, build_sieve(max(n, 2)).spf)
+    return _with_bruteforce(rows, s, k, max_iterations) if with_bruteforce else rows
+
+
+def _with_bruteforce(
+    rows: Iterator[tuple], s: int, k: int, max_iterations: int | None
+) -> Iterator[tuple]:
+    """Each five-cell row with the literal sum and its verdict put in, for the seven of COLUMNS."""
+    for m, phi_k, dsk, pil, rhs in rows:
+        lhs = menon_sum_bruteforce(m, s, k, max_iterations)
+        yield m, phi_k, dsk, pil, lhs, rhs, lhs == rhs
 
 
 def _check_bruteforce_budget(n: int, k: int, max_iterations: int | None) -> None:
@@ -130,15 +143,8 @@ def _check_bruteforce_budget(n: int, k: int, max_iterations: int | None) -> None
             )
 
 
-def _rows(
-    n: int,
-    s: int,
-    k: int,
-    with_bruteforce: bool,
-    max_iterations: int | None,
-    q: array,
-) -> Iterator[tuple]:
-    """The rows, from the call's own spf array, which becomes the prime-power chain.
+def _rows(n: int, s: int, k: int, q: array) -> Iterator[tuple]:
+    """The five-cell rows, from the call's own spf array, which becomes the prime-power chain.
 
     One ascending pass over j = 2 .. n // 2 strikes the chain.  It skips
     j with q[j] != j, a composite, and j already in the rule cache, a
@@ -175,8 +181,7 @@ def _rows(
         f = q[r]
         products.append(tuple(map(mul, local[f], products[r // f])))
     recurring = n // 8
-    for m in range(1, n + 1):
-        f = q[m]
+    for m, f in zip(range(1, n + 1), islice(q, 1, None)):
         at = local.get(f)
         if at is None:  # three calls: a tuple over a generator made the rows 20% slower
             at = phi_rule(f, 1), dsk_rule(f, 1), pil_rule(f, 1)
@@ -199,9 +204,4 @@ def _rows(
         # d_s_k * phi_k < P_k at every prime power: only P_k can leave the domain.
         if pil > U128_MAX:
             ensure_u128(pil, pil_rule.__name__)
-        rhs = dsk * phi_k
-        if with_bruteforce:
-            lhs = menon_sum_bruteforce(m, s, k, max_iterations)
-            yield m, phi_k, dsk, pil, lhs, rhs, lhs == rhs
-        else:
-            yield m, phi_k, dsk, pil, rhs
+        yield m, phi_k, dsk, pil, dsk * phi_k

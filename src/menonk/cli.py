@@ -145,7 +145,7 @@ _JSON_BOOLS = {True: "true", False: "false"}
 
 
 def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
-    """Yield the table's lines, each ending in a newline: csv and plain a header first.
+    """The table's lines, each ending in a newline: csv and plain a header first.
 
     Every row is spelled by one ``%`` over a template picked once, from
     the length of the first row: seven cells with brute force on, the
@@ -153,28 +153,33 @@ def _render_rows(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     spelled as JSON spells it: ints in decimal, ``verified`` as
     true/false, looked up by a generator in front of the ``%``.  A cell
     the rows lack is fixed text in the template: "" in csv and "-" in
-    plain; json-lines leaves its key out.  The lines after the header
-    are one C-level ``map`` that fills the template with each row as it
-    comes.
+    plain; json-lines leaves its key out.  The lines are one C-level
+    chain: a header tuple, then a ``map`` that fills the template with
+    each row as it comes, so five-cell rows resume no Python frame here.
+    The first row is pulled only once the header is out.
     """
     columns = batch.COLUMNS
-    rows = iter(rows)
-    if fmt != "json-lines":
-        sep, absent = (",", "") if fmt == "csv" else (" ", "-")
-        yield sep.join(columns) + "\n"
-    first = next(rows, None)
-    if first is None:
-        return
-    present = columns if len(first) == len(columns) else batch.CLOSED_COLUMNS
-    if fmt == "json-lines":
-        template = "{" + ",".join(f'"{c}":%s' for c in present) + "}\n"
-    else:
-        template = sep.join("%s" if c in present else absent for c in columns) + "\n"
-    rows = chain((first,), rows)
-    if present is columns:
-        rows = ((m, phi_k, d_s_k, pillai_k, lhs, rhs, _JSON_BOOLS[verified])
-                for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rows)
-    yield from map(template.__mod__, rows)
+    sep, absent = (",", "") if fmt == "csv" else (" ", "-")
+
+    def parts() -> Iterator[Iterable[str]]:
+        rest = iter(rows)
+        if fmt != "json-lines":
+            yield (sep.join(columns) + "\n",)
+        first = next(rest, None)
+        if first is None:
+            return
+        present = columns if len(first) == len(columns) else batch.CLOSED_COLUMNS
+        if fmt == "json-lines":
+            template = "{" + ",".join(f'"{c}":%s' for c in present) + "}\n"
+        else:
+            template = sep.join("%s" if c in present else absent for c in columns) + "\n"
+        rest = chain((first,), rest)
+        if present is columns:
+            rest = ((m, phi_k, d_s_k, pillai_k, lhs, rhs, _JSON_BOOLS[verified])
+                    for m, phi_k, d_s_k, pillai_k, lhs, rhs, verified in rest)
+        yield map(template.__mod__, rest)
+
+    return chain.from_iterable(parts())
 
 
 def cmd_table(args: argparse.Namespace) -> int:

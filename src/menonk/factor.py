@@ -35,14 +35,18 @@ __all__ = ["is_prime", "factorize", "smallest_prime_factors"]
 def smallest_prime_factors(limit: int) -> array:
     """spf with spf[j] the smallest prime factor of j, for 2 <= j <= limit (spf[0:2] = 0, 1).
 
-    Each d <= isqrt(limit), in descending order, strikes d over the
-    multiples j >= d*d.  The last stroke on a composite j therefore comes
-    from the least d with d | j and d*d <= j, which is j's smallest prime;
-    strokes from composite d are overwritten, so no prime list is needed.
+    Each prime p <= isqrt(limit), read off this sieve of isqrt(limit) and
+    taken in descending order, strikes p over the multiples j >= p*p.  The
+    last stroke on a composite j therefore comes from the least prime p
+    with p | j and p*p <= j, which is j's smallest prime.
     """
     spf = array("I", range(limit + 1))
-    for d in range(math.isqrt(limit), 1, -1):
-        spf[d * d :: d] = array("I", [d]) * len(range(d * d, limit + 1, d))
+    root = math.isqrt(limit)
+    if root > 1:  # isqrt(1) = 1: below 4 no j is composite, and the recursion ends
+        small = smallest_prime_factors(root)
+        for p in range(root, 1, -1):
+            if small[p] == p:
+                spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     return spf
 
 

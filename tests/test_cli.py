@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -592,6 +593,49 @@ def test_table_spellings_match_a_json_reference(capsys, fmt):
     # No rows: csv and plain still give their header, json-lines nothing.
     expected = [] if fmt == "json-lines" else [reference_table([], fmt)]
     assert list(cli._render_rows(iter(()), fmt)) == expected
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+def test_render_rows_yields_the_header_before_the_first_row(fmt):
+    # table writes its header to stdout before a refused first row: the rows
+    # are not touched until the line after the header is asked for.
+    class Refused(Exception):
+        pass
+
+    class RefusingRows:
+        pulls = 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            self.pulls += 1
+            raise Refused
+
+    rows = RefusingRows()
+    lines = cli._render_rows(rows, fmt)
+    if fmt != "json-lines":
+        sep = "," if fmt == "csv" else " "
+        assert next(lines) == sep.join(batch.COLUMNS) + "\n"
+    assert rows.pulls == 0
+    with pytest.raises(Refused):
+        next(lines)
+    assert rows.pulls == 1
+
+
+@pytest.mark.parametrize(("argv", "digest"), [
+    ("--n 301234 --s 1 --k 1 --format csv --no-bruteforce",
+     "aa2fedc4d0327b6aa789bf305dab65d1e6e6c8f6d646e3ddf4653360615677e7"),
+    ("--n 150678 --s 1296 --k 4 --format json-lines --no-bruteforce",
+     "d1d7b93647f1d3919885aae86340ffc2b7848155e8cf1859e7524b40a52542a1"),
+    ("--n 3000 --s 1 --k 1 --format csv",
+     "ded8f4e4d60737e1362c79452375013668202dcdc85ee7470e52ae4f02727c71"),
+], ids=["k1-csv", "k4-json-lines", "bruteforce-csv"])
+def test_bench_sized_tables_keep_their_bytes(capsys, argv, digest):
+    # The bench's table shapes, past both of _rows' cache bounds (isqrt(N) and N // 8).
+    code, out, err = invoke(capsys, "table", *argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_refusals(capsys, monkeypatch):

@@ -158,6 +158,16 @@ def test_factorize_largest_prime_power_below_2_128(e, monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_sieve_matches_a_naive_reference_at_its_edges():
+    # The sieve strikes only the primes it reads off its own sieve of isqrt(limit):
+    # pin the recursion's base (limits 0..3) and every limit next to a prime square.
+    naive = [next((d for d in range(2, math.isqrt(j) + 1) if j % d == 0), j) for j in range(20_001)]
+    squares = [p * p + e for p in range(2, 100) if is_prime(p) for e in (-1, 0, 1)]
+    for limit in [*range(401), *squares, 20_000]:
+        assert factor.smallest_prime_factors(limit).tolist() == naive[: limit + 1], limit
+    assert len(factor._SMALL_PRIMES) == 1229 and factor._SMALL_PRIMES[-1] == 9973
+
+
 def test_trial_division_proves_its_last_cofactor(monkeypatch):
     # Trial division stops at the first prime p with p*p above the cofactor, which is
     # then 1 or a prime: below 9973**2 neither is_prime nor the seeded curves run.
