@@ -8,9 +8,9 @@ number callers can no longer treat as a machine word.
 
 The domain of a modulus m and exponent k (m, k >= 1 and m**k < 2^128)
 is checked in one place, ``check_power``: the class gate below,
-``arith.cohen_phi``, ``arith.pillai``, ``menon.menon_closed_forms``,
-``menon.verify_prime_power`` and ``batch.batch_table`` all call it, so
-they refuse the same pairs with the same words.
+``arith.cohen_phi``, ``arith.pillai``, ``menon.menon_closed_forms``
+and ``batch.batch_table`` all call it, so they refuse the same pairs
+with the same words.
 
 Every literal pass over the classes mod m**k (residue enumeration,
 direct gcd sums, and the checks of a set the caller holds, which are

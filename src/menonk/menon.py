@@ -1,4 +1,4 @@
-"""Menon sums: direct summation, closed forms, and lemma verifiers.
+"""Menon sums: direct summation and closed forms.
 
 The central quantity is
 
@@ -24,25 +24,21 @@ rules the scalar ``cohen_phi`` and ``d_s_k`` evaluate.  Each route does
 its per-modulus work once.  ``menon_sum_over`` sums over
 representatives the caller gives: it reads one table of (x, m**k)_k
 over the classes mod m**k from ``kth_gcd_classes``, so, like the other
-literal sums, it never reads ``factorize``.  The verify_* helpers
-check the lemmas of the proof (unit translation, multiplicativity,
-prime powers), each across two literal sums or the two routes, and
-return verdicts instead of asserting, so callers can report a
-counterexample (which would mean an implementation bug, not a
-false identity) with full context.
+literal sums, it never reads ``factorize``.  Each route is written
+once, here; the tests check the proof's lemmas (unit translation,
+multiplicativity, prime powers) by comparing these routes.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import compress, starmap
+from itertools import starmap
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import arith
 from .arith import cohen_phi_rule, d_s_k_rule, eval_multiplicative, kth_reduced_mask
-from .factor import is_prime
 from .limits import U128_MAX, check_power, ensure_u128
 
 __all__ = [
@@ -51,9 +47,6 @@ __all__ = [
     "menon_sum_bruteforce",
     "menon_closed_forms",
     "menon_closed_form",
-    "verify_unit_translation",
-    "verify_menon_multiplicativity",
-    "verify_prime_power",
 ]
 
 
@@ -98,37 +91,28 @@ def menon_sums(
     stride, strides[0] = p**k for m's least prime p, passes whenever
     any stride does, and N[1], the reduced classes, is the sum of its
     table; with no table, N[1] is the whole mask counted.  Each shift
-    then reads one count from each table and counts mask[s mod q :: q]
-    for each other stride, m**k / q bytes, in C, and takes one dot
-    product.  With T tables, the call reads T * m**k bytes and each
-    shift the sum of m**k / q over the other strides; with none, the
-    call reads the m**k bytes of N[1] and each shift
+    takes one path: it reads one count from each table, counts
+    mask[s mod q :: q] for each other stride, m**k / q bytes, in C, and
+    takes one dot product.  With T tables, the call reads T * m**k
+    bytes and each shift the sum of m**k / q over the other strides;
+    with none, the call reads the m**k bytes of N[1] and each shift
     m**k * (sigma_{-k}(m) - 1).  The mask is refused, before anything
     is allocated, by the class gate.
     """
     mask, strides, weights = kth_reduced_mask(m, k, max_iterations)
     n, mk = len(shifts), len(mask)
-    # A stride q is tabled when q <= n and q * q <= m**k.  The smallest one comes
-    # first in the lattice's order, so if it is not tabled, none is.
-    if not strides or strides[0] > n or strides[0] ** 2 > mk:
-        reduced = mask.count(1)
-
-        def total(s: int) -> int:
-            return reduced + sum(map(mul, [mask[s % q :: q].count(1) for q in strides], weights))
-
-        return map(total, shifts)
-
     pairs = [
         (q, [mask[r::q].count(1) for r in range(q)] if q <= n and q * q <= mk else None)
         for q in strides
     ]
-    reduced = sum(pairs[0][1])
+    # The smallest stride comes first in the lattice's order, so if it is not tabled, none is.
+    reduced = sum(pairs[0][1]) if pairs and pairs[0][1] else mask.count(1)
 
-    def total_tabled(s: int) -> int:
+    def total(s: int) -> int:
         counts = [t[s % q] if t else mask[s % q :: q].count(1) for q, t in pairs]
         return reduced + sum(map(mul, counts, weights))
 
-    return map(total_tabled, shifts)
+    return map(total, shifts)
 
 
 def menon_sum_bruteforce(m: int, s: int, k: int, max_iterations: int | None = None) -> int:
@@ -163,45 +147,3 @@ def menon_closed_form(m: int, s: int, k: int) -> int:
     """M(m, s, k) from the closed forms: menon_closed_forms at one shift."""
     (total,) = menon_closed_forms(m, k, (s,))
     return total
-
-
-def verify_unit_translation(m: int, s: int, k: int, l: int) -> bool:
-    """Check sum (a*l - s, m**k)_k = M(m, s, k) for (l, m) = 1.
-
-    Multiplying a reduced residue set by a unit permutes its classes, so
-    equality must hold; False signals a bug.  The reduced classes are
-    read off kth_reduced_mask's mask (the default cap gates it) and
-    scaled by l lazily; ``menon_sum_over`` sums the scaled classes from
-    its gcd table, and ``menon_sum_bruteforce`` gives M(m, s, k) from its
-    strided counts, so two literal sums are compared.  It holds the mask
-    and the gcd table, about 7 bytes a class.
-    """
-    if math.gcd(l, m) != 1:
-        raise ValueError(f"l = {l} is not coprime to m = {m}")
-    mask = kth_reduced_mask(m, k)[0]
-    scaled = (a * l for a in compress(range(len(mask)), mask))
-    return menon_sum_over(scaled, m, s, k) == menon_sum_bruteforce(m, s, k)
-
-
-def verify_menon_multiplicativity(m1: int, m2: int, s: int, k: int) -> bool:
-    """Check M(m1*m2, s, k) = M(m1, s, k) * M(m2, s, k) for coprime m1, m2."""
-    if m1 < 1 or m2 < 1:
-        raise ValueError("moduli must be positive integers")
-    if math.gcd(m1, m2) != 1:
-        raise ValueError(f"moduli {m1} and {m2} are not coprime")
-    combined = menon_sum_bruteforce(m1 * m2, s, k)
-    part1 = menon_sum_bruteforce(m1, s, k)
-    part2 = menon_sum_bruteforce(m2, s, k)
-    return combined == part1 * part2
-
-
-def verify_prime_power(p: int, v: int, s: int, k: int) -> bool:
-    """Check the prime-power case M(p**v, s, k) = d_s_k(p**v) * phi_k(p**v).
-
-    Exercises both local branches: p**k dividing s (local factor 1) and
-    not (local factor v + 1).
-    """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    q = check_power(p, v)
-    return menon_sum_bruteforce(q, s, k) == menon_closed_form(q, s, k)

@@ -7,6 +7,7 @@ line per criterion.
 import doctest
 import math
 import random
+from itertools import compress
 from pathlib import Path
 
 from menonk.arith import (
@@ -16,6 +17,7 @@ from menonk.arith import (
     divisor_count,
     euler_phi,
     gcd_pow_k,
+    kth_reduced_mask,
     pillai,
     pillai_bruteforce,
 )
@@ -23,12 +25,7 @@ from menonk.batch import batch_table
 from menonk.cli import run
 from menonk.factor import factorize, is_prime
 from menonk.limits import DEFAULT_MAX_ITERATIONS
-from menonk.menon import (
-    menon_closed_form,
-    menon_sum_bruteforce,
-    verify_menon_multiplicativity,
-    verify_unit_translation,
-)
+from menonk.menon import menon_closed_form, menon_sum_bruteforce, menon_sum_over
 from menonk.residues import check_reduced_set, crt_combine, standard_residue_set
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -149,7 +146,9 @@ def test_criterion_6_structural_lemmas():
         if l == 0 or math.gcd(l, m) != 1:
             continue
         s = rng.randrange(-25, 26)
-        ok &= verify_unit_translation(m, s, k, l)
+        mask = kth_reduced_mask(m, k)[0]
+        scaled = (a * l for a in compress(range(len(mask)), mask))
+        ok &= menon_sum_over(scaled, m, s, k) == menon_sum_bruteforce(m, s, k)
         done += 1
 
     # CRT composition equals the standard class set: all coprime pairs <= 12
@@ -174,7 +173,8 @@ def test_criterion_6_structural_lemmas():
         if (m1 * m2) ** k > 3600:
             continue
         s = rng.randrange(-25, 26)
-        ok &= verify_menon_multiplicativity(m1, m2, s, k)
+        parts = menon_sum_bruteforce(m1, s, k) * menon_sum_bruteforce(m2, s, k)
+        ok &= menon_sum_bruteforce(m1 * m2, s, k) == parts
         done += 1
 
     check("criterion 6: structural lemma property suites, zero failures", ok)

@@ -36,7 +36,7 @@ from menonk.limits import (
     check_power,
     ensure_u128,
 )
-from menonk.menon import menon_sums, verify_menon_multiplicativity
+from menonk.menon import menon_sums
 
 
 def kth_power_gcd_direct(a: int, b: int, k: int) -> int:
@@ -315,7 +315,6 @@ def test_closed_form_domain_errors():
         pytest.param(lambda: pillai_rule(0), id="pillai_rule_k0"),
         pytest.param(lambda: check_power(-2, 3), id="check_power_negative_base"),
         pytest.param(lambda: cohen_phi_bruteforce(4, 1, max_iterations=0), id="bruteforce_cap0"),
-        pytest.param(lambda: verify_menon_multiplicativity(0, 1, 0, 1), id="multiplicativity_m0"),
     ],
 )
 def test_library_refusals(call):

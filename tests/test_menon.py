@@ -33,9 +33,6 @@ from menonk.menon import (
     menon_sum_bruteforce,
     menon_sum_over,
     menon_sums,
-    verify_menon_multiplicativity,
-    verify_prime_power,
-    verify_unit_translation,
 )
 from menonk.residues import check_reduced_set, crt_combine, standard_residue_set
 
@@ -131,12 +128,19 @@ def test_rao_precondition():
             assert menon_closed_form(m, s, k) == divisor_count(m) * cohen_phi(m, k)
 
 
+def unit_translated_sum(m, s, k, l):
+    """menon_sum_over the mask's reduced classes, each scaled by l as it is read."""
+    mask = arith.kth_reduced_mask(m, k)[0]
+    return menon_sum_over((a * l for a in compress(range(len(mask)), mask)), m, s, k)
+
+
 def test_unit_translation():
-    assert verify_unit_translation(12, 1, 1, 5)
-    assert verify_unit_translation(12, 1, 1, 1)
-    assert verify_unit_translation(4, 12, 2, 3)
-    with pytest.raises(ValueError):
-        verify_unit_translation(12, 1, 1, 4)
+    # A unit l permutes the reduced classes, so the two literal sums agree.
+    assert unit_translated_sum(12, 1, 1, 5) == menon_sum_bruteforce(12, 1, 1) == 24
+    assert unit_translated_sum(12, 1, 1, 1) == 24
+    assert unit_translated_sum(4, 12, 2, 3) == menon_sum_bruteforce(4, 12, 2) == 12
+    # l = 4 is no unit mod 12: 1, 5, 7, 11 go to 4, 8, 4, 8, and the sum is not M(12, 1, 1).
+    assert unit_translated_sum(12, 1, 1, 4) == 8
 
 
 def test_unit_translation_sampled():
@@ -151,7 +155,7 @@ def test_unit_translation_sampled():
         if l == 0 or math.gcd(l, m) != 1:
             continue
         s = rng.randrange(-25, 26)
-        assert verify_unit_translation(m, s, k, l), (m, s, k, l)
+        assert unit_translated_sum(m, s, k, l) == menon_sum_bruteforce(m, s, k), (m, s, k, l)
         done += 1
 
 
@@ -160,7 +164,7 @@ def test_unit_translation_holds_the_mask_and_the_table(m, k):
     # a byte a class for the mask and 4 for the gcd table, with no set of the members
     tracemalloc.start()
     try:
-        assert verify_unit_translation(m, 5, k, 7)
+        assert unit_translated_sum(m, 5, k, 7) == menon_sum_bruteforce(m, 5, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,28 +172,24 @@ def test_unit_translation_holds_the_mask_and_the_table(m, k):
 
 
 def test_multiplicativity():
-    assert verify_menon_multiplicativity(3, 4, 1, 1)
-    assert verify_menon_multiplicativity(1, 9, 4, 1)
-    assert verify_menon_multiplicativity(4, 9, 2, 1)
-    with pytest.raises(ValueError):
-        verify_menon_multiplicativity(6, 4, 1, 1)
+    for m1, m2, s in ((3, 4, 1), (1, 9, 4), (4, 9, 2)):
+        product = menon_sum_bruteforce(m1, s, 1) * menon_sum_bruteforce(m2, s, 1)
+        assert menon_sum_bruteforce(m1 * m2, s, 1) == product, (m1, m2, s)
+    # 6 and 4 are not coprime: M(24, 1, 1) = 8 * 8, but M(6, 1, 1) * M(4, 1, 1) = 8 * 6.
+    split = menon_sum_bruteforce(6, 1, 1) * menon_sum_bruteforce(4, 1, 1)
+    assert menon_sum_bruteforce(24, 1, 1) == 64 != split == 48
 
 
 def test_prime_power_cases():
-    assert verify_prime_power(2, 2, 1, 2)  # p^k does not divide s
-    assert verify_prime_power(2, 2, 12, 2)  # p^k divides s
-    assert verify_prime_power(3, 2, 9, 1)  # p | s with k = 1
-    # v = 1, the paper's base case, on both local branches
-    assert verify_prime_power(3, 1, 9, 2)  # 3^2 | 9: local factor 1
-    assert verify_prime_power(3, 1, 1, 2)  # 3^2 does not divide 1: local factor 2
-    with pytest.raises(ValueError):
-        verify_prime_power(6, 2, 1, 1)
-    with pytest.raises(ValueError, match="^m and k must be positive integers$"):
-        verify_prime_power(5, 0, 1, 1)
-    start = time.perf_counter()
-    with pytest.raises(Uint128OverflowError):
-        verify_prime_power(2, 10**12, 1, 1)
-    assert time.perf_counter() - start < 1.0
+    for p, v, s, k in (
+        (2, 2, 1, 2),  # p^k does not divide s
+        (2, 2, 12, 2),  # p^k divides s
+        (3, 2, 9, 1),  # p | s with k = 1
+        # v = 1, the paper's base case, on both local branches
+        (3, 1, 9, 2),  # 3^2 | 9: local factor 1
+        (3, 1, 1, 2),  # 3^2 does not divide 1: local factor 2
+    ):
+        assert menon_sum_bruteforce(p**v, s, k) == menon_closed_form(p**v, s, k), (p, v, s, k)
 
 
 def test_sum_independent_of_residue_representatives():
@@ -255,10 +255,8 @@ def test_no_literal_entry_point_reads_factorize(monkeypatch):
         lambda: menon_sum_bruteforce(60, 4, 2),
         lambda: standard_residue_set(60, 2),
         lambda: menon_sum_over(standard_residue_set(60, 2), 60, 4, 2),
-        lambda: verify_unit_translation(60, 4, 2, 7),
         lambda: check_reduced_set(standard_residue_set(60, 2), 60, 2),
         lambda: crt_combine(standard_residue_set(4, 2), 4, standard_residue_set(15, 2), 15, 2),
-        lambda: verify_menon_multiplicativity(4, 15, 4, 2),
     )
     expected = [literal() for literal in literals]
     monkeypatch.setattr(arith, "factorize", refuse)
@@ -272,7 +270,7 @@ def test_false_factorization_leaves_the_literal_checkers_exact(monkeypatch):
     assert menon_sum_over(residues, 12, 2, 2) == 576 == menon_sum_bruteforce(12, 2, 2)
     check_reduced_set(residues, 12, 2)  # counted against the mask, not the closed phi_2(12), here 143
     assert len(residues) == 96
-    assert verify_unit_translation(12, 2, 2, 5)
+    assert unit_translated_sum(12, 2, 2, 5) == 576
     assert menon_closed_form(12, 2, 2) != 576  # only the closed route believes the lie
 
 
@@ -495,7 +493,7 @@ def test_closed_forms_answer_or_refuse_at_the_domain_edges(m, s, k):
 
 
 def _literal_edge_calls(m, s, k):
-    """The literal public API at (m, s, k): residue sets, oracles, batch_table, verifiers."""
+    """The literal public API at (m, s, k): residue sets, oracles, batch_table, the literal sum."""
     return (
         lambda: standard_residue_set(m, k),
         lambda: check_reduced_set((1,), m, k),
@@ -504,12 +502,11 @@ def _literal_edge_calls(m, s, k):
         lambda: pillai_bruteforce(m, k),
         lambda: list(batch_table(m, s, k, True)),
         lambda: crt_combine(standard_residue_set(m, k), m, standard_residue_set(1, k), 1, k),
-        lambda: verify_unit_translation(m, s, k, 7),
-        lambda: verify_menon_multiplicativity(m, 1, s, k),
+        lambda: menon_sum_bruteforce(m, s, k),
     )
 
 
-_M1_ANSWERS = ((1,), None, 1, 1, 1, [(1, 1, 1, 1, 1, 1, True)], (1,), True, True)
+_M1_ANSWERS = ((1,), None, 1, 1, 1, [(1, 1, 1, 1, 1, 1, True)], (1,), 1)
 
 
 @pytest.mark.parametrize(
